@@ -274,7 +274,7 @@ def run(
                 raise InternalConsistencyError(
                     f"{table_kind}: inserted {inserted} != unique {unique}"
                 )
-            stored = _stored_codes(table, table_kind)
+            stored = table.stored_keys()
             if stored != reference:
                 missing = len(reference - stored)
                 extra = len(stored - reference)
@@ -303,12 +303,6 @@ def run(
         duplication=workload.duplication,
         rep_times_ms=rep_times,
     )
-
-
-def _stored_codes(table, table_kind) -> set:
-    if table_kind == "cuckoo":
-        return table.stored_keys()
-    return {vec[0] for vec in table.stored_vectors()}
 
 
 def sweep(
@@ -340,9 +334,8 @@ def sweep(
         if kind not in TABLE_KINDS:
             raise ValueError(f"table must be one of {TABLE_KINDS}, got {kind!r}")
     reports = []
-    with open(out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
+
+    def rows():
         for kind in table_kinds:
             for li, length in enumerate(lengths):
                 for di, duplication in enumerate(duplications):
@@ -359,15 +352,18 @@ def sweep(
                         hash_functions=hash_functions,
                         verify=verify,
                     )
-                    writer.writerow(report.csv_row())
-                    f.flush()
                     reports.append(report)
+                    yield report
+
+    write_report_csv(out, rows())
     return reports
 
 
 def write_report_csv(path, reports):
+    """Write the header, then one row per report, flushed as it is written."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for report in reports:
             writer.writerow(report.csv_row())
+            f.flush()

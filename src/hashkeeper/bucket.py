@@ -94,7 +94,7 @@ class BucketTable:
         nbuckets = self.buckets
         words = self._words.words
         span = self.frames_per_bucket * width
-        tail = list(vector[1:])
+        tail = list(vector[1:]) if width > 1 else None
         retries = 0
         probed = 0
         for a, b in self._pairs:
@@ -106,11 +106,10 @@ class BucketTable:
             if width == 1:
                 if v0 in snap:
                     return _FOUND_FIRST if probed == 1 else BucketOutcome(FOUND, probed, retries)
-                for sentinel in (EMPTY_WORD, CLAIMED_WORD):
-                    try:
-                        off = snap.index(sentinel)
-                    except ValueError:
-                        continue
+                if EMPTY_WORD in snap:
+                    open_off = snap.index(EMPTY_WORD)
+                if CLAIMED_WORD in snap:
+                    off = snap.index(CLAIMED_WORD)
                     if open_off < 0 or off < open_off:
                         open_off = off
             else:
@@ -204,35 +203,45 @@ class BucketTable:
 
     # -- whole-table operations (quiescent callers only) ---------------------
 
+    def _published(self) -> list[int]:
+        """Word index of every published frame, in table order.
+
+        Claimed frames are skipped, and so are the trailing words of a
+        bucket that no frame covers when ``width`` does not divide 32.
+        """
+        words = self._words.words
+        width = self.width
+        span = self.frames_per_bucket * width
+        offsets = range(0, span, width)
+        # Both sentinels sit at the top of the word range, so one comparison
+        # rejects empty and claimed frames alike.
+        return [
+            base + off
+            for base in range(0, len(words), BUCKET_WORDS)
+            for off, w0 in zip(offsets, words[base : base + span : width])
+            if w0 < CLAIMED_WORD
+        ]
+
     def stored_vectors(self) -> set[tuple]:
         """Set of fully published vectors; quiescent use."""
-        width = self.width
         words = self._words.words
-        span = self.frames_per_bucket * width
-        out = set()
-        for base in range(0, len(words), BUCKET_WORDS):
-            for off in range(0, span, width):
-                w0 = words[base + off]
-                if w0 != EMPTY_WORD and w0 != CLAIMED_WORD:
-                    out.add(tuple(words[base + off : base + off + width]))
-        return out
+        width = self.width
+        return {tuple(words[i : i + width]) for i in self._published()}
+
+    def stored_keys(self) -> set[int]:
+        """Set of word 0 of every published vector; quiescent use."""
+        words = self._words.words
+        return {words[i] for i in self._published()}
 
     def frame_map(self) -> dict[int, tuple]:
         """Published vectors keyed by the word index of their frame."""
-        width = self.width
         words = self._words.words
-        span = self.frames_per_bucket * width
-        out = {}
-        for base in range(0, len(words), BUCKET_WORDS):
-            for off in range(0, span, width):
-                w0 = words[base + off]
-                if w0 != EMPTY_WORD and w0 != CLAIMED_WORD:
-                    out[base + off] = tuple(words[base + off : base + off + width])
-        return out
+        width = self.width
+        return {i: tuple(words[i : i + width]) for i in self._published()}
 
     def stored_count(self) -> int:
         """Number of occupied frames."""
-        return len(self.frame_map())
+        return len(self._published())
 
     @property
     def capacity(self) -> int:

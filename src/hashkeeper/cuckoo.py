@@ -87,6 +87,9 @@ class CuckooTable:
         self._scale = scale
         self._explicit_bound = explicit_bound
         self._pairs = family.pairs
+        self._later = family.pairs[1:]
+        # each function paired with the one after it, the last wrapping round
+        self._steps = tuple(zip(family.pairs, self._later + family.pairs[:1]))
         self._slots = [EMPTY_WORD] * self.m
         self._stash = [EMPTY_WORD] * stash_size
         self._stash_used = 0
@@ -104,77 +107,64 @@ class CuckooTable:
         """Insert ``key`` unless already stored; duplicate-safe under concurrency."""
         if not 0 <= key <= MAX_KEY:
             raise ValueError(f"key must be in [0, {MAX_KEY}], got {key}")
-        slots = self._slots
-        pairs = self._pairs
-        m = self.m
-        spins = 0
         while True:
-            version = self._version
-            if not version & 1:
-                # Lookup pass.  Slots only ever go empty -> occupied, and a
-                # key's first placement always lands at its function-0 slot,
-                # so the scan can stop at the first vacant candidate: no
-                # later function (and, for function 0, neither the stash nor
-                # the in-flight registry) can hold the key.
-                i0 = -1
-                empty_at = -1
-                for j, (a, b) in enumerate(pairs):
-                    i = ((a * key + b) % MOD_PRIME) % m
-                    if j == 0:
-                        i0 = i
-                    w = slots[i]
-                    if w == key:
-                        return _FOUND
-                    if w == EMPTY_WORD:
-                        empty_at = j
-                        break
-                if empty_at != 0:
-                    if self._stash_used and key in self._stash:
-                        return _FOUND
-                    if self._inflight and key in list(self._inflight.values()):
-                        return _FOUND
-                if self._version == version:
-                    # Nothing moved while we scanned, so the miss is real.
-                    outcome = self._try_place(key, i0, version)
-                    if outcome is not None:
-                        return outcome
-            spins += 1
-            if spins > 64:
-                time.sleep(0)
+            found, _, version, slot0 = self._lookup(key)
+            if found:
+                return _FOUND
+            outcome = self._try_place(key, slot0, version)
+            if outcome is not None:
+                return outcome
 
     def contains(self, key: int) -> bool:
         if not 0 <= key <= MAX_KEY:
             raise ValueError(f"key must be in [0, {MAX_KEY}], got {key}")
-        return self._probe(key)[0]
+        return self._lookup(key)[0]
 
     def _probe(self, key: int) -> tuple[bool, int]:
         """Validated lookup that also reports how many words were touched."""
+        return self._lookup(key)[:2]
+
+    def _lookup(self, key: int) -> tuple[bool, int, int, int]:
+        """Validated lookup: ``(found, words_read, version, slot0)``.
+
+        A miss holds for the even ``version`` it was validated against;
+        ``slot0`` is the key's function-0 slot, where a miss is placed.
+        """
         slots = self._slots
         m = self.m
+        a, b = self._pairs[0]
+        slot0 = ((a * key + b) % MOD_PRIME) % m
         spins = 0
         while True:
             version = self._version
             if not version & 1:
-                reads = 0
-                empty_at = -1
-                for j, (a, b) in enumerate(self._pairs):
-                    i = ((a * key + b) % MOD_PRIME) % m
-                    reads += 1
-                    if slots[i] == key:
-                        return True, reads
-                    if slots[i] == EMPTY_WORD:
-                        empty_at = j
-                        break
-                if empty_at != 0:
+                w = slots[slot0]
+                if w == key:
+                    return True, 1, version, slot0
+                reads = 1
+                # Slots only ever go empty -> occupied, and a key's first
+                # placement always lands at its function-0 slot, so the scan
+                # can stop at the first vacant candidate: no later function
+                # (and, for function 0, neither the stash nor the in-flight
+                # registry) can hold the key.
+                if w != EMPTY_WORD:
+                    for a, b in self._later:
+                        reads += 1
+                        w = slots[((a * key + b) % MOD_PRIME) % m]
+                        if w == key:
+                            return True, reads, version, slot0
+                        if w == EMPTY_WORD:
+                            break
                     if self._stash_used:
-                        for w in self._stash:
-                            reads += 1
-                            if w == key:
-                                return True, reads
+                        stash = self._stash
+                        if key in stash:
+                            return True, reads + stash.index(key) + 1, version, slot0
+                        reads += len(stash)
                     if self._inflight and key in list(self._inflight.values()):
-                        return True, reads
+                        return True, reads, version, slot0
                 if self._version == version:
-                    return False, reads
+                    # Nothing moved while we scanned, so the miss is real.
+                    return False, reads, version, slot0
             spins += 1
             if spins > 64:
                 time.sleep(0)
@@ -185,7 +175,8 @@ class CuckooTable:
         # Non-blocking acquire with a scheduler yield.  A blocking acquire
         # would park on a futex and force an interpreter-lock handoff on
         # every release, which collapses throughput into a convoy once a
-        # holder is ever preempted inside its (tiny) critical region.
+        # holder is ever preempted inside its (tiny) critical region.  The
+        # hot paths try one acquire inline and come here only when it fails.
         lock = self._write_lock
         while not lock.acquire(False):
             time.sleep(0)
@@ -201,9 +192,11 @@ class CuckooTable:
             return None
         slots = self._slots
         inflight = self._inflight
+        lock = self._write_lock
         tid = threading.get_ident()
         try:
-            self._acquire_write_lock()
+            if not lock.acquire(False):
+                self._acquire_write_lock()
             try:
                 if self._version != expected_version:
                     return None
@@ -214,7 +207,7 @@ class CuckooTable:
                 slots[slot] = key
                 self._version = expected_version + 2
             finally:
-                self._write_lock.release()
+                lock.release()
             if victim == EMPTY_WORD:
                 return _INSERTED_CLEAN
             if victim == key:
@@ -232,8 +225,8 @@ class CuckooTable:
         # concurrent duplicate collapses the chain.
         slots = self._slots
         pairs = self._pairs
+        steps = self._steps
         m = self.m
-        count = len(pairs)
         bound = self.max_evictions
         inflight = self._inflight
         lock = self._write_lock
@@ -243,17 +236,15 @@ class CuckooTable:
                 return self._stash_put(carried, evictions)
             # The displaced key moves on via the function after the one that
             # put it here; ties resolve to the smallest matching function.
-            nxt = 0
-            for j in range(count):
-                a, b = pairs[j]
+            for (a, b), nxt in steps:
                 if ((a * carried + b) % MOD_PRIME) % m == slot:
-                    nxt = j + 1
                     break
-            if nxt >= count:
-                nxt = 0
-            a, b = pairs[nxt]
+            else:
+                nxt = pairs[0]
+            a, b = nxt
             slot = ((a * carried + b) % MOD_PRIME) % m
-            self._acquire_write_lock()
+            if not lock.acquire(False):
+                self._acquire_write_lock()
             try:
                 version = self._version
                 self._version = version + 1
@@ -287,20 +278,19 @@ class CuckooTable:
             version = self._version
             self._version = version + 1
             try:
-                idx = stash.index(EMPTY_WORD)
+                stash[stash.index(EMPTY_WORD)] = carried
+                full = False
             except ValueError:
-                idx = -1
-            if idx >= 0:
-                stash[idx] = carried
-                self._stash_used += 1
+                # No free stash word: the carried key goes past the stash's
+                # nominal size, where lookups, stored_keys() and rebuild()
+                # still see it, and the caller is told to rebuild.
+                stash.append(carried)
+                full = True
+            self._stash_used += 1
             self._version = version + 2
         finally:
             self._write_lock.release()
-        if idx < 0:
-            # The carried key could not be placed anywhere; the caller must
-            # rebuild (its own key is in, but the displaced one is lost).
-            return InsertOutcome(TABLE_FULL, evictions)
-        return InsertOutcome(INSERTED, evictions)
+        return InsertOutcome(TABLE_FULL if full else INSERTED, evictions)
 
     # -- whole-table operations (quiescent callers only) ---------------------
 
@@ -328,8 +318,7 @@ class CuckooTable:
         the table once plain rehashing stops helping; raises
         :class:`RebuildError` when every attempt fails.
         """
-        keys = [w for w in self._slots if w != EMPTY_WORD]
-        keys.extend(w for w in self._stash if w != EMPTY_WORD)
+        keys = self.stored_keys()
         expected = max(self._expected, len(keys), 1)
         bound = self.max_evictions if self._explicit_bound else None
         for attempt in range(_REBUILD_ATTEMPTS):

@@ -136,12 +136,6 @@ def parse_model(text: str) -> Model:
                 raise ModelParseError(
                     lineno, "num_states and initial must be integers"
                 ) from None
-            if states < 1:
-                raise ModelParseError(lineno, f"process {name!r} has no states")
-            if not 0 <= initial < states:
-                raise ModelParseError(
-                    lineno, f"initial state {initial} out of range for {states} states"
-                )
             if current is not None:
                 close(current)
             current = (lineno, name, states, initial, [])
@@ -214,91 +208,61 @@ def explore(model: Model) -> Trace:
     the trace is byte-identical across runs.
     """
     procs = model.processes
-    n = len(procs)
-    space = 1
-    for proc in procs:
-        space *= proc.states
-    if space > CODE_SPACE:
-        raise OverflowError("composite state space does not fit the 31-bit code space")
-
+    sizes = [proc.states for proc in procs]
     owners = model.labels()
-    # by_state[p][s] lists (label, dst, joint_partners) in declaration order,
-    # where joint_partners is None for an independent label and the list of
-    # other participating processes when p is the lowest participant.
-    by_state = []
+    # A step of process p from local s to d changes the code by (d - s) * the
+    # radix of p, so successors are the current code plus precomputed deltas.
+    # moves[p][s] lists (delta, label, partners) in declaration order, where
+    # partners is None for an independent label and the list of other
+    # participating processes when p is the lowest participant.
+    # joint[p][s][label] lists the deltas of p's steps on a joint label, for
+    # resolving p as a partner.
+    moves = []
+    joint = []
+    mult = 1
     for p, proc in enumerate(procs):
         rows = [[] for _ in range(proc.states)]
+        deltas = [{} for _ in range(proc.states)]
         for src, label, dst in proc.transitions:
+            delta = (dst - src) * mult
             parts = owners[label]
             if len(parts) == 1:
-                rows[src].append((label, dst, None))
-            elif parts[0] == p:
-                rows[src].append((label, dst, parts[1:]))
-        by_state.append(rows)
-    # enabled[p][s][label] -> destinations, for resolving joint partners
-    enabled = []
-    for proc in procs:
-        rows = [{} for _ in range(proc.states)]
-        for src, label, dst in proc.transitions:
-            rows[src].setdefault(label, []).append(dst)
-        enabled.append(rows)
-
-    mults = []
-    mult = 1
-    for proc in procs:
-        mults.append(mult)
+                rows[src].append((delta, label, None))
+            else:
+                if parts[0] == p:
+                    rows[src].append((delta, label, parts[1:]))
+                deltas[src].setdefault(label, []).append(delta)
+        moves.append(rows)
+        joint.append(deltas)
         mult *= proc.states
 
-    init = tuple(proc.initial for proc in procs)
-    init_code = sum(s * m for s, m in zip(init, mults))
+    init = encode(model, [proc.initial for proc in procs])
     codes = []
-    generated = set()
-    visited = {init_code}
+    visited = {init}
     frontier = deque([init])
     while frontier:
-        vec = frontier.popleft()
-        for p in range(n):
-            for label, dst, partners in by_state[p][vec[p]]:
+        code = frontier.popleft()
+        local = []
+        rest = code
+        for size in sizes:
+            rest, s = divmod(rest, size)
+            local.append(s)
+        for p, s in enumerate(local):
+            for delta, label, partners in moves[p][s]:
                 if partners is None:
-                    succs = (_moved(vec, p, dst),)
+                    succs = (code + delta,)
                 else:
-                    choices = []
-                    for q in partners:
-                        dsts = enabled[q][vec[q]].get(label)
-                        if dsts is None:
-                            choices = None
-                            break
-                        choices.append(dsts)
-                    if choices is None:
+                    choices = [joint[q][local[q]].get(label) for q in partners]
+                    if None in choices:
                         continue
-                    succs = (
-                        _moved_many(vec, p, dst, partners, combo)
-                        for combo in product(*choices)
-                    )
+                    base = code + delta
+                    succs = (base + sum(combo) for combo in product(*choices))
                 for succ in succs:
-                    code = sum(s * m for s, m in zip(succ, mults))
-                    codes.append(code)
-                    generated.add(code)
-                    if code not in visited:
-                        visited.add(code)
+                    codes.append(succ)
+                    if succ not in visited:
+                        visited.add(succ)
                         frontier.append(succ)
-    unique = len(generated)
-    mean = len(codes) / unique if unique else 0.0
-    return Trace(codes, unique, mean)
-
-
-def _moved(vec, p, dst):
-    out = list(vec)
-    out[p] = dst
-    return tuple(out)
-
-
-def _moved_many(vec, p, dst, partners, combo):
-    out = list(vec)
-    out[p] = dst
-    for q, d in zip(partners, combo):
-        out[q] = d
-    return tuple(out)
+    return Trace.from_codes(codes)
 
 
 # -- trace files --------------------------------------------------------------

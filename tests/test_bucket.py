@@ -251,3 +251,32 @@ class TestStability:
                 t.find_or_insert(vec)
             for idx in t.frame_map():
                 assert (idx % BUCKET_WORDS) % width == 0
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    def test_walks_agree_and_skip_claimed_and_padding(self, width):
+        t = make_table(40, width=width, seed=width)
+        rng = random.Random(width)
+        vectors = {tuple(rng.randrange(0, 10**6) for _ in range(width)) for _ in range(20)}
+        for v in vectors:
+            assert t.find_or_insert(v).tag == INSERTED
+        words = t._words.words
+        span = t.frames_per_bucket * width
+        heads = [
+            base + off
+            for base in range(0, len(words), BUCKET_WORDS)
+            for off in range(0, span, width)
+        ]
+        # an insert caught between its claim and its publication
+        claimed = next(i for i in heads if words[i] == EMPTY_WORD)
+        words[claimed] = CLAIMED_WORD
+        words[claimed + 1 : claimed + width] = [7] * (width - 1)
+        # words past the last frame of a bucket belong to no frame
+        for base in range(0, len(words), BUCKET_WORDS):
+            words[base + span : base + BUCKET_WORDS] = [5] * (BUCKET_WORDS - span)
+        frames = t.frame_map()
+        assert claimed not in frames
+        assert t.stored_count() == len(frames) == len(t.stored_vectors()) == len(vectors)
+        assert t.stored_vectors() == set(frames.values()) == vectors
+        assert t.stored_keys() == {v[0] for v in t.stored_vectors()}

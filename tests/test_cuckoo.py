@@ -213,6 +213,22 @@ class TestStash:
                 break
         assert seen_full
 
+    def test_full_stash_keeps_every_inserted_key(self):
+        # the key carried out of a full stash stays stored, before a rebuild
+        # and after it
+        for seed in range(4):
+            t = CuckooTable(20, HashFamily(seed, 2), max_evictions=1, stash_size=1, scale=1.05)
+            inserted = set()
+            key = 0
+            while (tag := t.find_or_insert(key).tag) != TABLE_FULL:
+                assert tag == INSERTED
+                inserted.add(key)
+                key += 1
+            inserted.add(key)
+            assert t.stored_keys() == inserted, seed
+            assert all(t.contains(k) for k in inserted), seed
+            assert t.rebuild(1234).stored_keys() == inserted, seed
+
 
 class TestRebuild:
     def test_rebuild_empty_table(self):

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from oracles import oracle_successor_codes, random_model
@@ -167,6 +169,17 @@ class TestExampleModels:
         for name in ("handshake", "ring"):
             trace = explore(example_model(name))
             assert trace.mean_multiplicity > 1.0
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("handshake", "01b35e6d105dac229e525d2ab8350ed966149a914737db3a692c636c9d6b50f9"),
+            ("ring", "8d74123175b3b2fe1b8f60da956061ae9d6cfcb647d2ae80b966bdfa7ed7cf97"),
+        ],
+    )
+    def test_trace_order_pinned(self, name, digest):
+        codes = explore(example_model(name)).codes
+        assert hashlib.sha256(np.asarray(codes, dtype="<u4").tobytes()).hexdigest() == digest
 
 
 class TestTraceFiles:
