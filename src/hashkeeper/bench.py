@@ -12,6 +12,7 @@ import csv
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -212,12 +213,7 @@ def run(
             )
     blocks = _split(codes, workers) if workers > 1 else None
 
-    if table_kind == "cuckoo":
-        def drive(table, block):
-            return _drive_cuckoo(table, block)
-    else:
-        def drive(table, block):
-            return _drive_bucket(table, block, width)
+    drive = _drive_cuckoo if table_kind == "cuckoo" else partial(_drive_bucket, width=width)
 
     rep_times = []
     inserted = found = 0

@@ -81,27 +81,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen(args) -> int:
-    workload = bench.gen_random(args.length, args.duplication, args.seed)
-    trace = write_trace(args.out, workload.codes)
+def _write(out, codes) -> int:
+    trace = write_trace(out, codes)
     print(
-        f"wrote {args.out}: {len(trace.codes)} codes, "
+        f"wrote {out}: {len(trace.codes)} codes, "
         f"{trace.unique_count} unique, mean multiplicity "
         f"{trace.mean_multiplicity:.3f}"
     )
     return EXIT_OK
+
+
+def _cmd_gen(args) -> int:
+    return _write(args.out, bench.gen_random(args.length, args.duplication, args.seed).codes)
 
 
 def _cmd_explore(args) -> int:
-    model = load_model(args.model)
-    trace = explore(model)
-    write_trace(args.out, trace.codes)
-    print(
-        f"wrote {args.out}: {len(trace.codes)} codes, "
-        f"{trace.unique_count} unique, mean multiplicity "
-        f"{trace.mean_multiplicity:.3f}"
-    )
-    return EXIT_OK
+    return _write(args.out, explore(load_model(args.model)).codes)
 
 
 def _cmd_bench(args) -> int:

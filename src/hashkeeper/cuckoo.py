@@ -324,12 +324,7 @@ class CuckooTable:
         for attempt in range(_REBUILD_ATTEMPTS):
             family = HashFamily(seed + attempt, self.family.count)
             fresh = CuckooTable(expected, family, bound, self.stash_size, self._scale)
-            ok = True
-            for k in keys:
-                if fresh.find_or_insert(k).tag == TABLE_FULL:
-                    ok = False
-                    break
-            if ok:
+            if all(fresh.find_or_insert(k).tag != TABLE_FULL for k in keys):
                 fresh.rebuild_count = self.rebuild_count + 1
                 return fresh
             if attempt >= _REBUILD_ATTEMPTS // 2:

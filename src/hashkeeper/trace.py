@@ -10,10 +10,12 @@ a state space explorer would throw at a visited set.
 """
 
 import struct
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
-from itertools import product
+from itertools import accumulate, product
+from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -92,10 +94,16 @@ class Trace:
     mean_multiplicity: float
 
     @classmethod
-    def from_codes(cls, codes) -> "Trace":
-        unique = len(set(codes))
+    def from_codes(cls, codes: list, unique: int) -> "Trace":
+        """Keeps ``codes`` as the list it is: the tables' loops want ints."""
         mean = len(codes) / unique if unique else 0.0
-        return cls(list(codes), unique, mean)
+        return cls(codes, unique, mean)
+
+
+def _distinct(words) -> int:
+    """Distinct values in an array by sort and compare, faster than a set."""
+    ordered = np.sort(words)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + bool(len(ordered))
 
 
 def parse_model(text: str) -> Model:
@@ -107,15 +115,6 @@ def parse_model(text: str) -> Model:
     """
     processes = []
     names = set()
-    current = None  # (line, name, states, initial, transitions)
-
-    def close(current):
-        line, name, states, initial, transitions = current
-        try:
-            processes.append(Automaton(name, states, initial, transitions))
-        except ValueError as exc:
-            raise ModelParseError(line, str(exc)) from None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -136,11 +135,12 @@ def parse_model(text: str) -> Model:
                 raise ModelParseError(
                     lineno, "num_states and initial must be integers"
                 ) from None
-            if current is not None:
-                close(current)
-            current = (lineno, name, states, initial, [])
+            try:
+                processes.append(Automaton(name, states, initial, []))
+            except ValueError as exc:
+                raise ModelParseError(lineno, str(exc)) from None
         elif fields[0] == "t":
-            if current is None:
+            if not processes:
                 raise ModelParseError(lineno, "transition before any process line")
             if len(fields) != 4:
                 raise ModelParseError(lineno, "expected: t <src> <label> <dst>")
@@ -148,17 +148,15 @@ def parse_model(text: str) -> Model:
                 src, dst = int(fields[1]), int(fields[3])
             except ValueError:
                 raise ModelParseError(lineno, "src and dst must be integers") from None
-            states = current[2]
+            states = processes[-1].states
             if not 0 <= src < states or not 0 <= dst < states:
                 raise ModelParseError(
                     lineno,
                     f"transition references state outside [0, {states - 1}]",
                 )
-            current[4].append((src, fields[2], dst))
+            processes[-1].transitions.append((src, fields[2], dst))
         else:
             raise ModelParseError(lineno, f"unknown directive {fields[0]!r}")
-    if current is not None:
-        close(current)
     if not processes:
         raise ModelParseError(1, "no processes")
     return Model(processes)
@@ -176,13 +174,8 @@ def example_model(name: str) -> Model:
     """One of the models shipped with the package, by bare name."""
     if name not in EXAMPLE_MODELS:
         raise ValueError(f"unknown example model {name!r}; have {EXAMPLE_MODELS}")
-    text = (
-        resources.files("hashkeeper")
-        .joinpath("models")
-        .joinpath(f"{name}.net")
-        .read_text(encoding="utf-8")
-    )
-    return parse_model(text)
+    text = resources.files("hashkeeper").joinpath("models", f"{name}.net")
+    return parse_model(text.read_text(encoding="utf-8"))
 
 
 def encode(model: Model, local_states) -> int:
@@ -199,70 +192,86 @@ def encode(model: Model, local_states) -> int:
     return code
 
 
+# Frontier states are expanded in chunks of at most this many (state, rule)
+# cells, which bounds the enabled mask however many rules a model has.
+_CHUNK_CELLS = 1 << 20
+
+
+def _rules(model: Model):
+    """Every move as a rule, in emission order: ``(guards, deltas)``.
+
+    A rule is an independent move, or one combination of joint moves fired
+    at the label's lowest participant.  Rules are ordered by that process,
+    its transition declaration order, then the partners' transitions in
+    ``itertools.product`` order.  ``deltas`` holds each rule's code change;
+    ``guards`` lists ``(radix, states, table)`` per process that some rule
+    involves, ``table[s, r]`` true if rule r can fire at local state s.
+    """
+    procs = model.processes
+    owners = model.labels()
+    radix = list(accumulate((proc.states for proc in procs), mul, initial=1))
+    # steps[p][label]: (p, src, delta) of p's moves on label, in declaration order
+    steps = [{} for _ in procs]
+    for p, proc in enumerate(procs):
+        for src, label, dst in proc.transitions:
+            steps[p].setdefault(label, []).append((p, src, (dst - src) * radix[p]))
+    rules = [
+        combo
+        for p, proc in enumerate(procs)
+        for src, label, dst in proc.transitions
+        if owners[label][0] == p
+        for combo in product(
+            [(p, src, (dst - src) * radix[p])],
+            *(steps[q][label] for q in owners[label][1:]),
+        )
+    ]
+    needs = np.full((len(procs), len(rules)), -1)  # the local state needed, or -1
+    for r, rule in enumerate(rules):
+        for p, s, _ in rule:
+            needs[p, r] = s
+    guards = [
+        (radix[p], proc.states, (np.arange(proc.states)[:, None] == need) | (need < 0))
+        for p, (proc, need) in enumerate(zip(procs, needs))
+        if (need >= 0).any()
+    ]
+    deltas = np.array([sum(d for _, _, d in rule) for rule in rules], dtype=np.int64)
+    return guards, deltas
+
+
 def explore(model: Model) -> Trace:
     """Breadth-first exploration emitting every generated successor code.
 
-    Successors of a state are produced in a fixed order (process index,
-    then transition declaration order; joint transitions fire at their
-    lowest participating process, combinations ordered the same way), so
-    the trace is byte-identical across runs.
+    Each BFS level is expanded as whole arrays, yet the trace is the one a
+    sequential BFS emits: state by state, and per state in rule order.  The
+    next level is the first occurrence of each unvisited code.  The visited
+    set is a bitmap of ``product / 8`` zeroed bytes, touched only near
+    reached codes.
     """
-    procs = model.processes
-    sizes = [proc.states for proc in procs]
-    owners = model.labels()
-    # A step of process p from local s to d changes the code by (d - s) * the
-    # radix of p, so successors are the current code plus precomputed deltas.
-    # moves[p][s] lists (delta, label, partners) in declaration order, where
-    # partners is None for an independent label and the list of other
-    # participating processes when p is the lowest participant.
-    # joint[p][s][label] lists the deltas of p's steps on a joint label, for
-    # resolving p as a partner.
-    moves = []
-    joint = []
-    mult = 1
-    for p, proc in enumerate(procs):
-        rows = [[] for _ in range(proc.states)]
-        deltas = [{} for _ in range(proc.states)]
-        for src, label, dst in proc.transitions:
-            delta = (dst - src) * mult
-            parts = owners[label]
-            if len(parts) == 1:
-                rows[src].append((delta, label, None))
-            else:
-                if parts[0] == p:
-                    rows[src].append((delta, label, parts[1:]))
-                deltas[src].setdefault(label, []).append(delta)
-        moves.append(rows)
-        joint.append(deltas)
-        mult *= proc.states
-
-    init = encode(model, [proc.initial for proc in procs])
+    guards, deltas = _rules(model)
+    space = prod(proc.states for proc in model.processes)
+    init = encode(model, [proc.initial for proc in model.processes])
+    visited = np.zeros((space + 7) >> 3, dtype=np.uint8)
+    visited[init >> 3] = 1 << (init & 7)
+    rows = max(1, _CHUNK_CELLS // max(1, len(deltas)))
     codes = []
-    visited = {init}
-    frontier = deque([init])
-    while frontier:
-        code = frontier.popleft()
-        local = []
-        rest = code
-        for size in sizes:
-            rest, s = divmod(rest, size)
-            local.append(s)
-        for p, s in enumerate(local):
-            for delta, label, partners in moves[p][s]:
-                if partners is None:
-                    succs = (code + delta,)
-                else:
-                    choices = [joint[q][local[q]].get(label) for q in partners]
-                    if None in choices:
-                        continue
-                    base = code + delta
-                    succs = (base + sum(combo) for combo in product(*choices))
-                for succ in succs:
-                    codes.append(succ)
-                    if succ not in visited:
-                        visited.add(succ)
-                        frontier.append(succ)
-    return Trace.from_codes(codes)
+    reached = 0
+    init_seen = False
+    level = np.array([init] if guards else [], dtype=np.int64)
+    while len(level):
+        found = []
+        for start in range(0, len(level), rows):
+            chunk = level[start : start + rows]
+            enabled = reduce(np.logical_and, (t[chunk // r % n] for r, n, t in guards))
+            succ = (chunk[:, None] + deltas)[enabled]
+            codes.extend(succ.tolist())
+            init_seen = init_seen or bool((succ == init).any())
+            fresh = succ[(visited[succ >> 3] >> (succ & 7) & 1) == 0]
+            fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
+            np.bitwise_or.at(visited, fresh >> 3, (1 << (fresh & 7)).astype(np.uint8))
+            reached += len(fresh)
+            found.append(fresh)
+        level = np.concatenate(found)
+    return Trace.from_codes(codes, reached + init_seen)
 
 
 # -- trace files --------------------------------------------------------------
@@ -270,11 +279,14 @@ def explore(model: Model) -> Trace:
 
 def write_trace(path, codes) -> Trace:
     """Write the binary trace plus its text sidecar; returns the stats."""
-    trace = Trace.from_codes(codes)
+    words = np.asarray(codes, dtype="<u4")
+    if not isinstance(codes, list):
+        codes = words.tolist()
+    trace = Trace.from_codes(codes, _distinct(words))
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
-        f.write(struct.pack("<Q", len(trace.codes)))
-        f.write(np.asarray(trace.codes, dtype="<u4").tobytes())
+        f.write(struct.pack("<Q", len(words)))
+        f.write(words.tobytes())
     with open(f"{path}.meta", "w", encoding="utf-8") as f:
         f.write(f"length {len(trace.codes)}\n")
         f.write(f"unique_count {trace.unique_count}\n")
@@ -292,5 +304,5 @@ def read_trace(path) -> Trace:
         payload = f.read(4 * length)
     if len(payload) != 4 * length:
         raise ValueError(f"{path}: truncated trace (expected {length} codes)")
-    codes = np.frombuffer(payload, dtype="<u4").tolist()
-    return Trace.from_codes(codes)
+    words = np.frombuffer(payload, dtype="<u4")
+    return Trace.from_codes(words.tolist(), _distinct(words))

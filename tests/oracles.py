@@ -70,6 +70,56 @@ def oracle_successor_codes(model):
     return generated
 
 
+def oracle_trace(model):
+    """Sequential per-state BFS: the emission-order reference for ``explore``.
+
+    Each state taken off the FIFO frontier emits its successors by process
+    index, then that process's transitions in declaration order; a joint
+    label fires at its lowest participant, with the partners' matching
+    transitions combined in ``itertools.product`` order.  Returns the list of
+    emitted codes and the number of distinct codes among them.
+    """
+    procs = model.processes
+    owners = model.labels()
+    sizes = [proc.states for proc in procs]
+
+    def code_of(vec):
+        c, mult = 0, 1
+        for s, size in zip(vec, sizes):
+            c += s * mult
+            mult *= size
+        return c
+
+    def successors(vec):
+        for p, proc in enumerate(procs):
+            for src, label, dst in proc.transitions:
+                parts = owners[label]
+                if src != vec[p] or parts[0] != p:
+                    continue
+                options = [
+                    [d for s, lab, d in procs[q].transitions if lab == label and s == vec[q]]
+                    for q in parts[1:]
+                ]
+                for combo in itertools.product(*options):
+                    succ = list(vec)
+                    succ[p] = dst
+                    for q, d in zip(parts[1:], combo):
+                        succ[q] = d
+                    yield tuple(succ)
+
+    init = tuple(proc.initial for proc in procs)
+    seen = {init}
+    codes = []
+    frontier = deque([init])
+    while frontier:
+        for succ in successors(frontier.popleft()):
+            codes.append(code_of(succ))
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return codes, len(set(codes))
+
+
 def random_model(rng, max_states=10_000):
     """Random synchronizing network small enough for the brute-force oracle."""
     while True:

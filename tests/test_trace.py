@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from oracles import oracle_successor_codes, random_model
+from oracles import oracle_successor_codes, oracle_trace, random_model
 
+from hashkeeper import trace as trace_module
 from hashkeeper.trace import (
+    CODE_SPACE,
     EXAMPLE_MODELS,
     Automaton,
     Model,
@@ -159,6 +161,56 @@ class TestExplore:
             oracle = oracle_successor_codes(model)
             assert trace.unique_count == len(oracle)
             assert set(trace.codes) == oracle
+
+
+class TestExploreOrder:
+    """``explore`` against the sequential per-state BFS, code for code."""
+
+    def test_random_models_match_order_oracle(self):
+        # the models of criterion 6: multiway sync and repeated labels
+        rng = random.Random(2718)
+        for i in range(50):
+            model = random_model(rng)
+            trace = explore(model)
+            codes, unique = oracle_trace(model)
+            assert trace.codes == codes, f"model {i}"
+            assert trace.unique_count == unique, f"model {i}"
+
+    def test_product_fills_code_space(self):
+        # 31 two-state processes multiply to exactly CODE_SPACE; the visited
+        # bitmap must not cost time or memory in proportion to that product
+        processes = [Automaton(f"p{i}", 2, 1, []) for i in range(30)]
+        processes.append(Automaton("top", 2, 1, [(1, "down", 0), (0, "up", 1)]))
+        model = Model(processes)
+        trace = explore(model)
+        top = CODE_SPACE - 1
+        assert trace.codes == [top - (1 << 30), top]
+        assert trace.unique_count == 2
+        assert (trace.codes, trace.unique_count) == oracle_trace(model)
+
+    @pytest.mark.parametrize("chunk_cells", [trace_module._CHUNK_CELLS, 2_000])
+    def test_wide_joint_label_in_chunks(self, monkeypatch, chunk_cells):
+        # a label shared by four processes with six transitions each (two per
+        # source state) gives 6**4 rules, and a state where all four sit on a
+        # source fires 2**4 partner combinations
+        monkeypatch.setattr(trace_module, "_CHUNK_CELLS", chunk_cells)
+        processes = []
+        for p in range(4):
+            transitions = [(i, f"a{p}", (i + 1) % 8) for i in range(8)]
+            transitions += [(k // 2, "s", (3 * k + p + 1) % 8) for k in range(6)]
+            processes.append(Automaton(f"p{p}", 8, 0, transitions))
+        model = Model(processes)
+        assert len(trace_module._rules(model)[1]) >= 1_000
+        trace = explore(model)
+        assert (trace.codes, trace.unique_count) == oracle_trace(model)
+
+    def test_initial_state_counts_only_if_reemitted(self):
+        cycle = explore(Model([Automaton("p", 3, 0, [(0, "a", 1), (1, "b", 0)])]))
+        assert cycle.codes == [1, 0]
+        assert cycle.unique_count == 2
+        chain = Model([Automaton("p", 3, 0, [(0, "a", 1), (1, "b", 2), (2, "c", 1)])])
+        assert explore(chain).codes == [1, 2, 1]
+        assert explore(chain).unique_count == 2
 
 
 class TestExampleModels:
