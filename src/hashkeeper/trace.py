@@ -255,7 +255,7 @@ def explore(model: Model) -> Trace:
     rows = max(1, _CHUNK_CELLS // max(1, len(deltas)))
     codes = []
     reached = 0
-    init_seen = False
+    init_seen = False  # init is visited from the start, so counts once emitted
     level = np.array([init] if guards else [], dtype=np.int64)
     while len(level):
         found = []
