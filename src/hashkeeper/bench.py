@@ -9,11 +9,9 @@ chosen so each value occurs ``duplication`` times on average.
 """
 
 import csv
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -104,7 +102,9 @@ def gen_random(length: int, duplication: int, seed: int) -> Workload:
     if duplication < 1:
         raise ValueError(f"duplication must be >= 1, got {duplication}")
     if duplication > length:
-        raise ValueError(f"duplication {duplication} exceeds workload length {length}")
+        raise ValueError(
+            f"duplication {duplication} exceeds workload length {length}"
+        )
     span = -(-length // duplication)
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, span, size=length, dtype=np.int64).tolist()
@@ -133,18 +133,6 @@ def _build_table(table_kind, unique, scale, width, hash_functions, hash_seed):
 def _split(codes, workers):
     n = len(codes)
     return [codes[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
-
-
-def _one_cpu():
-    """One CPU for the workers to share, or None without CPU affinity.
-
-    The interpreter lock runs one worker at a time anyway; workers free to
-    roam hand it across cores, which cost 20-50% on a 2-vCPU guest.
-    """
-    try:
-        return {min(os.sched_getaffinity(0))}
-    except (AttributeError, OSError):
-        return None
 
 
 def _drive_cuckoo(table, block):
@@ -218,13 +206,18 @@ def run(
     reference = set(codes)
     unique = len(reference)
     if table_factory is None:
-        table_factory = partial(
-            _build_table, table_kind, unique, scale, width, hash_functions, hash_seed
-        )
+        def table_factory():
+            return _build_table(
+                table_kind, unique, scale, width, hash_functions, hash_seed
+            )
     blocks = _split(codes, workers) if workers > 1 else None
-    cpu = _one_cpu() if workers > 1 else None
 
-    drive = _drive_cuckoo if table_kind == "cuckoo" else partial(_drive_bucket, width=width)
+    if table_kind == "cuckoo":
+        def drive(table, block):
+            return _drive_cuckoo(table, block)
+    else:
+        def drive(table, block):
+            return _drive_bucket(table, block, width)
 
     rep_times = []
     inserted = found = 0
@@ -244,8 +237,6 @@ def run(
 
             def work(slot, block):
                 try:
-                    if cpu is not None:
-                        os.sched_setaffinity(0, cpu)  # this thread only
                     # workers time their own phase; the reported wall time
                     # spans the earliest start to the latest finish
                     barrier.wait()

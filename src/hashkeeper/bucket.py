@@ -91,29 +91,28 @@ class BucketTable:
         if not 0 <= v0 <= MAX_LEAD_WORD:
             raise ValueError(f"vector word 0 must be in [0, {MAX_LEAD_WORD}], got {v0}")
         fp = v0 if width == 1 else fingerprint(vector)
-        span = self.frames_per_bucket * width
-        tail = list(vector[1:]) if width > 1 else None
         nbuckets = self.buckets
         words = self._words.words
-        probed = retries = 0
+        span = self.frames_per_bucket * width
+        tail = list(vector[1:]) if width > 1 else None
+        retries = 0
+        probed = 0
         for a, b in self._pairs:
             probed += 1
             base = (((a * fp + b) % MOD_PRIME) % nbuckets) * BUCKET_WORDS
             snap = words[base : base + BUCKET_WORDS]
             # Scan the snapshot: a frame matches only once fully published.
+            open_off = -1
             if width == 1:
                 if v0 in snap:
                     return _FOUND_FIRST if probed == 1 else BucketOutcome(FOUND, probed, retries)
-                # Taken frames form a prefix of the bucket (a claim walk only
-                # passes taken frames), so claimed ones precede the first empty.
-                if CLAIMED_WORD in snap:
-                    open_off = snap.index(CLAIMED_WORD)
-                elif snap[-1] == EMPTY_WORD:
+                if EMPTY_WORD in snap:
                     open_off = snap.index(EMPTY_WORD)
-                else:
-                    continue  # bucket permanently full for this vector
+                if CLAIMED_WORD in snap:
+                    off = snap.index(CLAIMED_WORD)
+                    if open_off < 0 or off < open_off:
+                        open_off = off
             else:
-                open_off = -1
                 matched = False
                 for off in range(0, span, width):
                     w0 = snap[off]
@@ -151,8 +150,8 @@ class BucketTable:
             if w0 == EMPTY_WORD:
                 if table.compare_exchange(idx, EMPTY_WORD, CLAIMED_WORD):
                     # The frame is ours: interior words first, word 0 last.
-                    if width > 1:
-                        words[idx + 1 : idx + width] = tail
+                    for k in range(1, width):
+                        words[idx + k] = vector[k]
                     words[idx] = v0
                     return INSERTED, retries
                 retries += 1

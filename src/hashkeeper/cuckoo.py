@@ -107,13 +107,8 @@ class CuckooTable:
         """Insert ``key`` unless already stored; duplicate-safe under concurrency."""
         if not 0 <= key <= MAX_KEY:
             raise ValueError(f"key must be in [0, {MAX_KEY}], got {key}")
-        a, b = self._pairs[0]
-        slot0 = ((a * key + b) % MOD_PRIME) % self.m
-        # a key read at its function-0 slot is stored: keys move, never leave
-        if self._slots[slot0] == key:
-            return _FOUND
         while True:
-            found, _, version, _ = self._lookup(key, slot0)
+            found, _, version, slot0 = self._lookup(key)
             if found:
                 return _FOUND
             outcome = self._try_place(key, slot0, version)
@@ -129,7 +124,7 @@ class CuckooTable:
         """Validated lookup that also reports how many words were touched."""
         return self._lookup(key)[:2]
 
-    def _lookup(self, key: int, slot0: int | None = None) -> tuple[bool, int, int, int]:
+    def _lookup(self, key: int) -> tuple[bool, int, int, int]:
         """Validated lookup: ``(found, words_read, version, slot0)``.
 
         A miss holds for the even ``version`` it was validated against;
@@ -137,9 +132,8 @@ class CuckooTable:
         """
         slots = self._slots
         m = self.m
-        if slot0 is None:
-            a, b = self._pairs[0]
-            slot0 = ((a * key + b) % MOD_PRIME) % m
+        a, b = self._pairs[0]
+        slot0 = ((a * key + b) % MOD_PRIME) % m
         spins = 0
         while True:
             version = self._version
@@ -197,31 +191,32 @@ class CuckooTable:
         if self._version != expected_version:
             return None
         slots = self._slots
+        inflight = self._inflight
         lock = self._write_lock
-        if not lock.acquire(False):
-            self._acquire_write_lock()
+        tid = threading.get_ident()
         try:
-            if self._version != expected_version:
-                return None
-            self._version = expected_version + 1
-            victim = slots[slot]
-            if victim != EMPTY_WORD:
-                tid = threading.get_ident()
-                self._inflight[tid] = victim
-            slots[slot] = key
-            self._version = expected_version + 2
-        finally:
-            lock.release()
-        if victim == EMPTY_WORD:
-            return _INSERTED_CLEAN
-        try:
+            if not lock.acquire(False):
+                self._acquire_write_lock()
+            try:
+                if self._version != expected_version:
+                    return None
+                self._version = expected_version + 1
+                victim = slots[slot]
+                if victim != EMPTY_WORD:
+                    inflight[tid] = victim
+                slots[slot] = key
+                self._version = expected_version + 2
+            finally:
+                lock.release()
+            if victim == EMPTY_WORD:
+                return _INSERTED_CLEAN
             if victim == key:
                 # Unreachable given the freshness check; kept as a guard for
                 # the concurrent-duplicate exchange semantics.
                 return _FOUND
             return self._run_chain(key, victim, slot, tid)
         finally:
-            self._inflight.pop(tid, None)
+            inflight.pop(tid, None)
 
     def _run_chain(self, key, carried, slot, tid) -> InsertOutcome:
         # ``carried`` was just displaced from ``slot`` and is covered by the
@@ -301,15 +296,16 @@ class CuckooTable:
 
     def stored_keys(self) -> set[int]:
         """Set of keys currently stored in the slots and the stash."""
-        keys = set(self._slots)
-        keys.update(self._stash)
-        keys.discard(EMPTY_WORD)
+        empty = EMPTY_WORD
+        keys = {w for w in self._slots if w != empty}
+        keys.update(w for w in self._stash if w != empty)
         return keys
 
     def stored_count(self) -> int:
         """Number of occupied words (slots plus stash)."""
-        slots, stash = self._slots, self._stash
-        return len(slots) + len(stash) - slots.count(EMPTY_WORD) - stash.count(EMPTY_WORD)
+        empty = EMPTY_WORD
+        n = sum(1 for w in self._slots if w != empty)
+        return n + sum(1 for w in self._stash if w != empty)
 
     @property
     def capacity(self) -> int:
@@ -328,7 +324,12 @@ class CuckooTable:
         for attempt in range(_REBUILD_ATTEMPTS):
             family = HashFamily(seed + attempt, self.family.count)
             fresh = CuckooTable(expected, family, bound, self.stash_size, self._scale)
-            if all(fresh.find_or_insert(k).tag != TABLE_FULL for k in keys):
+            ok = True
+            for k in keys:
+                if fresh.find_or_insert(k).tag == TABLE_FULL:
+                    ok = False
+                    break
+            if ok:
                 fresh.rebuild_count = self.rebuild_count + 1
                 return fresh
             if attempt >= _REBUILD_ATTEMPTS // 2:

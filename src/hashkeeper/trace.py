@@ -115,6 +115,15 @@ def parse_model(text: str) -> Model:
     """
     processes = []
     names = set()
+    current = None  # (line, name, states, initial, transitions)
+
+    def close(current):
+        line, name, states, initial, transitions = current
+        try:
+            processes.append(Automaton(name, states, initial, transitions))
+        except ValueError as exc:
+            raise ModelParseError(line, str(exc)) from None
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -135,12 +144,11 @@ def parse_model(text: str) -> Model:
                 raise ModelParseError(
                     lineno, "num_states and initial must be integers"
                 ) from None
-            try:
-                processes.append(Automaton(name, states, initial, []))
-            except ValueError as exc:
-                raise ModelParseError(lineno, str(exc)) from None
+            if current is not None:
+                close(current)
+            current = (lineno, name, states, initial, [])
         elif fields[0] == "t":
-            if not processes:
+            if current is None:
                 raise ModelParseError(lineno, "transition before any process line")
             if len(fields) != 4:
                 raise ModelParseError(lineno, "expected: t <src> <label> <dst>")
@@ -148,15 +156,17 @@ def parse_model(text: str) -> Model:
                 src, dst = int(fields[1]), int(fields[3])
             except ValueError:
                 raise ModelParseError(lineno, "src and dst must be integers") from None
-            states = processes[-1].states
+            states = current[2]
             if not 0 <= src < states or not 0 <= dst < states:
                 raise ModelParseError(
                     lineno,
                     f"transition references state outside [0, {states - 1}]",
                 )
-            processes[-1].transitions.append((src, fields[2], dst))
+            current[4].append((src, fields[2], dst))
         else:
             raise ModelParseError(lineno, f"unknown directive {fields[0]!r}")
+    if current is not None:
+        close(current)
     if not processes:
         raise ModelParseError(1, "no processes")
     return Model(processes)
@@ -174,8 +184,13 @@ def example_model(name: str) -> Model:
     """One of the models shipped with the package, by bare name."""
     if name not in EXAMPLE_MODELS:
         raise ValueError(f"unknown example model {name!r}; have {EXAMPLE_MODELS}")
-    text = resources.files("hashkeeper").joinpath("models", f"{name}.net")
-    return parse_model(text.read_text(encoding="utf-8"))
+    text = (
+        resources.files("hashkeeper")
+        .joinpath("models")
+        .joinpath(f"{name}.net")
+        .read_text(encoding="utf-8")
+    )
+    return parse_model(text)
 
 
 def encode(model: Model, local_states) -> int:

@@ -1,6 +1,4 @@
 import csv
-import os
-import threading
 import time
 
 import pytest
@@ -16,8 +14,7 @@ from hashkeeper.bench import (
     run,
     sweep,
 )
-from hashkeeper.cuckoo import INSERTED, CuckooTable, InsertOutcome
-from hashkeeper.hashing import HashFamily
+from hashkeeper.cuckoo import INSERTED, InsertOutcome
 from hashkeeper.trace import explore, example_model, write_trace
 from hashkeeper import cli
 
@@ -129,32 +126,6 @@ class TestRun:
             wl, "cuckoo", repetitions=3, table_factory=slow_factory, verify=False
         )
         assert report.mean_ms < 40.0
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_getaffinity"), reason="needs Linux CPU affinity"
-    )
-    def test_workers_share_one_cpu(self):
-        # the workers of a timed phase run on one CPU; the caller keeps its own
-        wl = gen_random(2_000, 2, 9)
-        before = os.sched_getaffinity(0)
-        seen = set()
-
-        class Recording(CuckooTable):
-            def find_or_insert(self, key):
-                seen.add((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
-                return super().find_or_insert(key)
-
-        report = run(
-            wl,
-            "cuckoo",
-            workers=4,
-            repetitions=1,
-            table_factory=lambda: Recording(len(set(wl.codes)), HashFamily(0, 4)),
-        )
-        assert report.inserted == len(set(wl.codes))
-        assert len({ident for ident, _ in seen}) == 4
-        assert {cpus for _, cpus in seen} == {frozenset([min(before)])}
-        assert os.sched_getaffinity(0) == before
 
     def test_bad_arguments(self):
         wl = gen_random(100, 1, 1)
