@@ -11,11 +11,8 @@ a state space explorer would throw at a visited set.
 
 import struct
 from dataclasses import dataclass
-from functools import reduce
 from importlib import resources
-from itertools import accumulate, product
 from math import prod
-from operator import mul
 
 import numpy as np
 
@@ -207,81 +204,130 @@ def encode(model: Model, local_states) -> int:
     return code
 
 
-# Frontier states are expanded in chunks of at most this many (state, rule)
-# cells, which bounds the enabled mask however many rules a model has.
+# Frontier states are expanded in chunks of at most this many (state,
+# process) cells, which bounds the decoded local states of one step.
 _CHUNK_CELLS = 1 << 20
 
 
-def _rules(model: Model):
-    """Every move as a rule, in emission order: ``(guards, deltas)``.
+def _csr(states, entries, width):
+    """Entries grouped by local state, for segments of ``states`` locals each.
 
-    A rule is an independent move, or one combination of joint moves fired
-    at the label's lowest participant.  Rules are ordered by that process,
-    its transition declaration order, then the partners' transitions in
-    ``itertools.product`` order.  ``deltas`` holds each rule's code change;
-    ``guards`` lists ``(radix, states, table)`` per process that some rule
-    involves, ``table[s, r]`` true if rule r can fire at local state s.
+    ``entries`` are ``(segment, src, values)``, ``width`` values each.
+    Returns ``(base, first, count, values)``: segment i at local s holds the
+    ``count[base[i] + s]`` rows of ``values`` from ``first[base[i] + s]`` on,
+    in the order given.
+    """
+    base = np.concatenate(([0], np.cumsum(states)))
+    keys = np.array([base[i] + s for i, s, _ in entries], dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    count = np.bincount(keys, minlength=base[-1])
+    values = np.array([entries[i][2] for i in order], dtype=np.int64)
+    return base[:-1], np.cumsum(count) - count, count, values.reshape(-1, width)
+
+
+def _moves(model: Model):
+    """The model's moves as tables over local states: ``(owned, partner)``.
+
+    A joint label fires at its lowest participant, the owner; the other
+    participants are its partners.  ``owned`` holds each process's own moves
+    per local state, in declaration order, as rows of the code delta and,
+    per partner slot, the partner's segment and process.  ``partner`` holds
+    the code deltas of one partner process on one label per local state.
+    Partner segment 0 has one zero delta at each local state of process 0;
+    it fills the slots of moves with fewer partners than the most.
     """
     procs = model.processes
     owners = model.labels()
-    radix = list(accumulate((proc.states for proc in procs), mul, initial=1))
-    # steps[p][label]: (p, src, delta) of p's moves on label, in declaration order
-    steps = [{} for _ in procs]
+    segments = {}  # (process, label) -> partner segment
+    sizes = [procs[0].states]
+    steps = [(0, s, [0]) for s in range(procs[0].states)]
+    own = []
+    radix = 1
     for p, proc in enumerate(procs):
         for src, label, dst in proc.transitions:
-            steps[p].setdefault(label, []).append((p, src, (dst - src) * radix[p]))
-    rules = [
-        combo
-        for p, proc in enumerate(procs)
-        for src, label, dst in proc.transitions
-        if owners[label][0] == p
-        for combo in product(
-            [(p, src, (dst - src) * radix[p])],
-            *(steps[q][label] for q in owners[label][1:]),
-        )
-    ]
-    needs = np.full((len(procs), len(rules)), -1)  # the local state needed, or -1
-    for r, rule in enumerate(rules):
-        for p, s, _ in rule:
-            needs[p, r] = s
-    guards = [
-        (radix[p], proc.states, (np.arange(proc.states)[:, None] == need) | (need < 0))
-        for p, (proc, need) in enumerate(zip(procs, needs))
-        if (need >= 0).any()
-    ]
-    deltas = np.array([sum(d for _, _, d in rule) for rule in rules], dtype=np.int64)
-    return guards, deltas
+            delta = (dst - src) * radix
+            if owners[label][0] == p:
+                own.append((p, src, delta, label))
+                continue
+            if (p, label) not in segments:
+                segments[p, label] = len(sizes)
+                sizes.append(proc.states)
+            steps.append((segments[p, label], src, [delta]))
+        radix *= proc.states
+    slots = max((len(owners[label]) - 1 for *_, label in own), default=0)
+    rows = []
+    for p, src, delta, label in own:
+        row = [delta]
+        for q in owners[label][1:]:
+            row += [segments[q, label], q]
+        rows.append((p, src, row + [0, 0] * (slots + 1 - len(owners[label]))))
+    owned = _csr([proc.states for proc in procs], rows, 1 + 2 * slots)
+    return owned, _csr(sizes, steps, 1)
+
+
+def _spread(counts):
+    """For runs of the given lengths: each item's run and rank within it."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
 def explore(model: Model) -> Trace:
     """Breadth-first exploration emitting every generated successor code.
 
     Each BFS level is expanded as whole arrays, yet the trace is the one a
-    sequential BFS emits: state by state, and per state in rule order.  The
-    next level is the first occurrence of each unvisited code.  The visited
-    set is a bitmap of ``product / 8`` zeroed bytes, touched only near
-    reached codes.
+    sequential BFS emits: state by state; per state by process, then that
+    process's transitions in declaration order; a joint label fires at its
+    lowest participant, with the partners' matching transitions combined in
+    ``itertools.product`` order.  A level costs in proportion to its states
+    times the processes, plus the moves enabled at its states, however many
+    moves the model has.  The next level is the first occurrence of each
+    unvisited code.  The visited set is a bitmap of ``product / 8`` zeroed
+    bytes, touched only near reached codes.
     """
-    guards, deltas = _rules(model)
-    space = prod(proc.states for proc in model.processes)
-    init = encode(model, [proc.initial for proc in model.processes])
-    visited = np.zeros((space + 7) >> 3, dtype=np.uint8)
+    procs = model.processes
+    (obase, ofirst, ocount, owned), (pbase, pfirst, pcount, pdelta) = _moves(model)
+    sizes = np.array([proc.states for proc in procs], dtype=np.int64)
+    radix = np.cumprod(sizes) // sizes
+    slots = [(pbase[owned[:, j]], owned[:, j + 1]) for j in range(1, owned.shape[1], 2)]
+    pdelta = pdelta[:, 0]
+    init = encode(model, [proc.initial for proc in procs])
+    visited = np.zeros((prod(proc.states for proc in procs) + 7) >> 3, dtype=np.uint8)
     visited[init >> 3] = 1 << (init & 7)
-    rows = max(1, _CHUNK_CELLS // max(1, len(deltas)))
+    rows = max(1, _CHUNK_CELLS // len(procs))
     codes = []
     reached = 0
     init_seen = False  # init is visited from the start, so counts once emitted
-    level = np.array([init] if guards else [], dtype=np.int64)
+    level = np.array([init] if len(owned) else [], dtype=np.int64)
     while len(level):
         found = []
         for start in range(0, len(level), rows):
             chunk = level[start : start + rows]
-            enabled = reduce(np.logical_and, (t[chunk // r % n] for r, n, t in guards))
-            succ = (chunk[:, None] + deltas)[enabled]
+            local = chunk[:, None] // radix % sizes
+            # the owned moves at each state, by process, in declaration order
+            at = (local + obase).ravel()
+            count = ocount[at]
+            ends = np.cumsum(count)
+            move = np.repeat(ofirst[at] - ends + count, count) + np.arange(ends[-1])
+            state = np.repeat(np.arange(len(chunk)), count.reshape(len(chunk), -1).sum(1))
+            # the partners' matching moves at those states, in product order
+            combos = np.ones(len(move), dtype=np.int64)
+            ranges = []
+            for segment, proc in slots:
+                at = segment[move] + local[state, proc[move]]
+                ranges.append((pfirst[at], pcount[at]))
+                combos *= ranges[-1][1]
+            run, rank = _spread(combos)
+            succ = chunk[state[run]] + owned[move[run], 0]
+            for first, options in reversed(ranges):
+                rank, digit = np.divmod(rank, options[run])
+                succ += pdelta[first[run] + digit]
             codes.extend(succ.tolist())
             init_seen = init_seen or bool((succ == init).any())
             fresh = succ[(visited[succ >> 3] >> (succ & 7) & 1) == 0]
-            fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
+            # keep the first occurrence of each code, in emission order
+            order = np.argsort(fresh, kind="stable")
+            repeat = order[1:][fresh[order[1:]] == fresh[order[:-1]]]
+            fresh = np.delete(fresh, repeat)
             np.bitwise_or.at(visited, fresh >> 3, (1 << (fresh & 7)).astype(np.uint8))
             reached += len(fresh)
             found.append(fresh)

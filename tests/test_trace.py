@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,11 +192,11 @@ class TestExploreOrder:
         assert trace.unique_count == 2
         assert (trace.codes, trace.unique_count) == oracle_trace(model)
 
-    @pytest.mark.parametrize("chunk_cells", [trace_module._CHUNK_CELLS, 2_000])
+    @pytest.mark.parametrize("chunk_cells", [trace_module._CHUNK_CELLS, 4])
     def test_wide_joint_label_in_chunks(self, monkeypatch, chunk_cells):
         # a label shared by four processes with six transitions each (two per
-        # source state) gives 6**4 rules, and a state where all four sit on a
-        # source fires 2**4 partner combinations
+        # source state) has 6**4 joint combinations, and a state where all
+        # four sit on a source fires 2**4 of them; 4 cells is one state a chunk
         monkeypatch.setattr(trace_module, "_CHUNK_CELLS", chunk_cells)
         processes = []
         for p in range(4):
@@ -200,9 +204,43 @@ class TestExploreOrder:
             transitions += [(k // 2, "s", (3 * k + p + 1) % 8) for k in range(6)]
             processes.append(Automaton(f"p{p}", 8, 0, transitions))
         model = Model(processes)
-        assert len(trace_module._rules(model)[1]) >= 1_000
         trace = explore(model)
         assert (trace.codes, trace.unique_count) == oracle_trace(model)
+
+    @pytest.mark.parametrize(
+        "procs, states",
+        [
+            (1, 20_000),  # 20,000 levels of one state, 20,000 moves
+            (4, 100),  # 100**4 joint combinations of the shared label
+        ],
+    )
+    def test_cost_follows_enabled_moves(self, procs, states):
+        # procs rings of ``states`` states step together on one label; time
+        # and memory must not grow with levels x moves or with the number of
+        # joint combinations, which would take minutes or gigabytes here
+        script = f"""
+import resource, time
+from hashkeeper.trace import Automaton, Model, explore
+ring = [(i, "s", (i + 1) % {states}) for i in range({states})]
+model = Model([Automaton(f"p{{p}}", {states}, 0, ring) for p in range({procs})])
+start = time.perf_counter()
+trace = explore(model)
+unit = sum({states} ** p for p in range({procs}))
+assert trace.codes == [k % {states} * unit for k in range(1, {states} + 1)]
+assert trace.unique_count == {states}
+print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+        src = str(Path(trace_module.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        seconds, peak_kb = float(out[0]), int(out[1])
+        assert seconds < 20
+        assert peak_kb < 200 * 1024
 
     def test_initial_state_counts_only_if_reemitted(self):
         cycle = explore(Model([Automaton("p", 3, 0, [(0, "a", 1), (1, "b", 0)])]))
