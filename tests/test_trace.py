@@ -219,7 +219,7 @@ class TestExploreOrder:
         # and memory must not grow with levels x moves or with the number of
         # joint combinations, which would take minutes or gigabytes here
         script = f"""
-import resource, time
+import time
 from hashkeeper.trace import Automaton, Model, explore
 ring = [(i, "s", (i + 1) % {states}) for i in range({states})]
 model = Model([Automaton(f"p{{p}}", {states}, 0, ring) for p in range({procs})])
@@ -228,7 +228,10 @@ trace = explore(model)
 unit = sum({states} ** p for p in range({procs}))
 assert trace.codes == [k % {states} * unit for k in range(1, {states} + 1)]
 assert trace.unique_count == {states}
-print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# peak RSS since exec; ru_maxrss would carry the forking test process's
+with open("/proc/self/status") as status:
+    peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(time.perf_counter() - start, peak_kb)
 """
         src = str(Path(trace_module.__file__).parents[1])
         out = subprocess.run(
