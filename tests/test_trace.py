@@ -228,20 +228,20 @@ trace = explore(model)
 unit = sum({states} ** p for p in range({procs}))
 assert trace.codes == [k % {states} * unit for k in range(1, {states} + 1)]
 assert trace.unique_count == {states}
-# peak RSS since exec; ru_maxrss would carry the forking test process's
+# peak RSS since exec; ru_maxrss would report the forking process's peak
 with open("/proc/self/status") as status:
     peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
 print(time.perf_counter() - start, peak_kb)
 """
         src = str(Path(trace_module.__file__).parents[1])
-        out = subprocess.run(
+        result = subprocess.run(
             [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
-            check=True,
-        ).stdout.split()
-        seconds, peak_kb = float(out[0]), int(out[1])
+        )
+        assert result.returncode == 0, result.stderr
+        seconds, peak_kb = map(float, result.stdout.split())
         assert seconds < 20
         assert peak_kb < 200 * 1024
 
