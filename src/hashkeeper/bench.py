@@ -125,12 +125,13 @@ def _build_table(table_kind, unique, scale, width, hash_functions, hash_seed):
     family = HashFamily(hash_seed, hash_functions)
     if table_kind == "cuckoo":
         return CuckooTable(unique, family, scale=scale)
-    if table_kind == "bucket":
-        return BucketTable(unique, width, family, scale=scale)
-    raise ValueError(f"unknown table kind {table_kind!r}")
+    return BucketTable(unique, width, family, scale=scale)
 
 
 def _split(codes, workers):
+    # one worker replays ``codes`` itself: a slice would copy every pointer
+    if workers == 1:
+        return [codes]
     n = len(codes)
     return [codes[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
 
@@ -149,8 +150,9 @@ def _drive_cuckoo(table, block):
     return inserted, found, False
 
 
-def _drive_bucket(table, block, width):
+def _drive_bucket(table, block):
     find_or_insert = table.find_or_insert
+    width = table.width
     inserted = found = 0
     if width == 1:
         for key in block:
@@ -189,9 +191,12 @@ def run(
     """Time the find-or-insert phase of ``workload`` against one table kind.
 
     Each repetition gets a fresh table; generation, unique counting and
-    table construction stay outside the timed region.  With ``verify`` the
-    counts and the final stored set of every repetition are checked against
-    the sequential reference set.
+    table construction stay outside the timed region.  The caller replays
+    the first of ``workers`` contiguous blocks and ``workers - 1`` threads
+    replay the rest, each timed from a shared barrier; a repetition lasts
+    from the earliest start to the latest finish, and one worker starts no
+    thread.  With ``verify`` the counts and the final stored set of every
+    repetition are checked against the sequential reference set.
     """
     if table_kind not in TABLE_KINDS:
         raise ValueError(f"table must be one of {TABLE_KINDS}, got {table_kind!r}")
@@ -210,14 +215,8 @@ def run(
             return _build_table(
                 table_kind, unique, scale, width, hash_functions, hash_seed
             )
-    blocks = _split(codes, workers) if workers > 1 else None
-
-    if table_kind == "cuckoo":
-        def drive(table, block):
-            return _drive_cuckoo(table, block)
-    else:
-        def drive(table, block):
-            return _drive_bucket(table, block, width)
+    drive = _drive_cuckoo if table_kind == "cuckoo" else _drive_bucket
+    blocks = _split(codes, workers)
 
     rep_times = []
     inserted = found = 0
@@ -225,39 +224,34 @@ def run(
     last_table = None
     for _ in range(repetitions):
         table = table_factory()
-        if workers == 1:
-            t0 = time.perf_counter()
-            results = [drive(table, codes)]
-            elapsed = time.perf_counter() - t0
-        else:
-            outcomes = [None] * workers
-            spans = [None] * workers
-            errors = []
-            barrier = threading.Barrier(workers)
+        results = [None] * workers
+        spans = [None] * workers
+        errors = []
+        barrier = threading.Barrier(workers)
 
-            def work(slot, block):
-                try:
-                    # workers time their own phase; the reported wall time
-                    # spans the earliest start to the latest finish
-                    barrier.wait()
-                    start = time.perf_counter()
-                    outcomes[slot] = drive(table, block)
-                    spans[slot] = (start, time.perf_counter())
-                except BaseException as exc:  # surfaced after the join
-                    errors.append(exc)
+        def work(slot):
+            try:
+                barrier.wait()
+                start = time.perf_counter()
+                results[slot] = drive(table, blocks[slot])
+                spans[slot] = (start, time.perf_counter())
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+                # release any worker still at the barrier, or the join would hang
+                barrier.abort()
 
-            threads = [
-                threading.Thread(target=work, args=(i, block), daemon=True)
-                for i, block in enumerate(blocks)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
-            results = outcomes
-            elapsed = max(s[1] for s in spans) - min(s[0] for s in spans)
+        threads = [
+            threading.Thread(target=work, args=(slot,), daemon=True)
+            for slot in range(1, workers)
+        ]
+        for t in threads:
+            t.start()
+        work(0)
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        elapsed = max(s[1] for s in spans) - min(s[0] for s in spans)
         rep_times.append(elapsed * 1000.0)
         inserted = sum(r[0] for r in results)
         found = sum(r[1] for r in results)
@@ -284,8 +278,6 @@ def run(
                 )
 
     mean_ms = sum(rep_times) / len(rep_times)
-    stored_count = last_table.stored_count() if hasattr(last_table, "stored_count") else 0
-    capacity = getattr(last_table, "capacity", 0)
     return BenchReport(
         table_kind=table_kind,
         workers=workers,
@@ -296,7 +288,7 @@ def run(
         throughput_mops=(length / (mean_ms / 1000.0) / 1e6) if mean_ms > 0 else 0.0,
         inserted=inserted,
         found=found,
-        load_factor=(stored_count / capacity) if capacity else 0.0,
+        load_factor=last_table.stored_count() / last_table.capacity,
         table_full=table_full,
         length=length,
         unique=unique,

@@ -33,6 +33,28 @@ def _str_list(text: str) -> list:
     return [part for part in text.split(",") if part]
 
 
+def _add_run_options(parser, workers: int) -> None:
+    """The options ``bench`` and ``sweep`` share; ``workers`` is its default."""
+    parser.add_argument("--width", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=workers)
+    parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--scale", type=float, default=1.25)
+    parser.add_argument("--hash-functions", type=int, default=4)
+    parser.add_argument("--hash-seed", type=int, default=0)
+
+
+def _run_options(args) -> dict:
+    """The shared options as keyword arguments of ``bench.run``/``sweep``."""
+    return dict(
+        workers=args.workers,
+        repetitions=args.reps,
+        hash_seed=args.hash_seed,
+        scale=args.scale,
+        width=args.width,
+        hash_functions=args.hash_functions,
+    )
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hashkeeper", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -52,12 +74,7 @@ def _build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="benchmark one table on one workload")
     p_bench.add_argument("--input", required=True, help="trace file to replay")
     p_bench.add_argument("--table", choices=bench.TABLE_KINDS, required=True)
-    p_bench.add_argument("--width", type=int, default=1)
-    p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.add_argument("--reps", type=int, default=10)
-    p_bench.add_argument("--scale", type=float, default=1.25)
-    p_bench.add_argument("--hash-functions", type=int, default=4)
-    p_bench.add_argument("--hash-seed", type=int, default=0)
+    _add_run_options(p_bench, workers=1)
     p_bench.add_argument("--csv", default=None, help="write the report row here")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -69,53 +86,38 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument(
         "--tables", type=_str_list, default=list(bench.TABLE_KINDS)
     )
-    p_sweep.add_argument("--width", type=int, default=1)
-    p_sweep.add_argument("--workers", type=int, default=4)
-    p_sweep.add_argument("--reps", type=int, default=10)
+    _add_run_options(p_sweep, workers=4)
     p_sweep.add_argument("--seed", type=int, default=1)
-    p_sweep.add_argument("--scale", type=float, default=1.25)
-    p_sweep.add_argument("--hash-functions", type=int, default=4)
-    p_sweep.add_argument("--hash-seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 
 
-def _cmd_gen(args) -> int:
-    workload = bench.gen_random(args.length, args.duplication, args.seed)
-    trace = write_trace(args.out, workload.codes)
+def _wrote(path, trace) -> int:
     print(
-        f"wrote {args.out}: {len(trace.codes)} codes, "
+        f"wrote {path}: {len(trace.codes)} codes, "
         f"{trace.unique_count} unique, mean multiplicity "
         f"{trace.mean_multiplicity:.3f}"
     )
     return EXIT_OK
+
+
+def _cmd_gen(args) -> int:
+    workload = bench.gen_random(args.length, args.duplication, args.seed)
+    trace = write_trace(args.out, workload.codes)
+    return _wrote(args.out, trace)
 
 
 def _cmd_explore(args) -> int:
     model = load_model(args.model)
     trace = explore(model)
     write_trace(args.out, trace.codes)
-    print(
-        f"wrote {args.out}: {len(trace.codes)} codes, "
-        f"{trace.unique_count} unique, mean multiplicity "
-        f"{trace.mean_multiplicity:.3f}"
-    )
-    return EXIT_OK
+    return _wrote(args.out, trace)
 
 
 def _cmd_bench(args) -> int:
     workload = bench.load_workload(args.input)
-    report = bench.run(
-        workload,
-        args.table,
-        workers=args.workers,
-        repetitions=args.reps,
-        hash_seed=args.hash_seed,
-        scale=args.scale,
-        width=args.width,
-        hash_functions=args.hash_functions,
-    )
+    report = bench.run(workload, args.table, **_run_options(args))
     print(
         f"{report.table_kind}: {report.length} ops, {report.unique} unique, "
         f"mean {report.mean_ms:.3f} ms over {report.repetitions} reps, "
@@ -133,14 +135,9 @@ def _cmd_sweep(args) -> int:
         args.lengths,
         args.dups,
         args.tables,
-        workers=args.workers,
-        repetitions=args.reps,
         out=args.out,
         seed=args.seed,
-        hash_seed=args.hash_seed,
-        scale=args.scale,
-        width=args.width,
-        hash_functions=args.hash_functions,
+        **_run_options(args),
     )
     full = sum(1 for r in reports if r.table_full)
     print(f"wrote {args.out}: {len(reports)} rows" + (f", {full} table-full" if full else ""))

@@ -2,8 +2,6 @@
 
 import threading
 
-WORD_MASK = 0xFFFFFFFF
-
 # All-ones word marks a vacant slot; all-ones minus one marks a frame that has
 # been reserved but whose payload is not fully published yet (bucketed table
 # only; the cuckoo table reserves just the empty word).
@@ -19,31 +17,19 @@ _STRIPES = 64  # power of two
 
 
 class WordArray:
-    """Fixed array of 32-bit words with atomic exchange and compare-exchange.
+    """Fixed array of 32-bit words, all empty at first, with compare-exchange.
 
     Plain indexed loads and stores of a Python list are individually atomic
     under the interpreter lock, so readers may touch ``words`` directly.  The
-    striped locks exist only to make the read-modify-write pairs (exchange,
-    compare-exchange) single atomic steps with respect to each other.
+    striped locks exist only to make each compare-exchange, a read-modify-write
+    pair, a single atomic step with respect to the others.
     """
 
     __slots__ = ("words", "_locks")
 
-    def __init__(self, size: int, fill: int = EMPTY_WORD):
-        self.words = [fill] * size
+    def __init__(self, size: int):
+        self.words = [EMPTY_WORD] * size
         self._locks = [threading.Lock() for _ in range(min(_STRIPES, max(1, size)))]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def exchange(self, index: int, value: int) -> int:
-        """Store ``value`` at ``index`` and return the previous word."""
-        lock = self._locks[index % len(self._locks)]
-        with lock:
-            words = self.words
-            old = words[index]
-            words[index] = value
-            return old
 
     def compare_exchange(self, index: int, expected: int, value: int) -> bool:
         """Store ``value`` at ``index`` only if the word equals ``expected``."""

@@ -1,4 +1,5 @@
 import csv
+import threading
 import time
 
 import pytest
@@ -14,7 +15,9 @@ from hashkeeper.bench import (
     run,
     sweep,
 )
+from hashkeeper.bucket import BucketTable
 from hashkeeper.cuckoo import INSERTED, InsertOutcome
+from hashkeeper.hashing import HashFamily
 from hashkeeper.trace import explore, example_model, write_trace
 from hashkeeper import cli
 
@@ -61,11 +64,49 @@ class TestGenRandom:
 
 class TestRun:
     def test_single_element(self):
+        # with 4 workers, three of the blocks are empty
         wl = bench.Workload([7], "unit", 1, 1.0)
         for kind in ("cuckoo", "bucket"):
-            report = run(wl, kind, repetitions=2)
-            assert report.inserted == 1 and report.found == 0
-            assert not report.table_full
+            for workers in (1, 4):
+                report = run(wl, kind, workers=workers, repetitions=2)
+                assert report.inserted == 1 and report.found == 0
+                assert not report.table_full
+
+    def test_worker_error_surfaces_after_join(self):
+        # the code 2**32 is out of range for both tables; with 2 workers it
+        # lands in the thread's block, then in the caller's
+        before = set(threading.enumerate())
+        for codes in ([1, 2**32, 3], [2**32, 1, 3]):
+            wl = bench.Workload(codes, "unit", len(codes), 1.0)
+            for kind in ("cuckoo", "bucket"):
+                for workers in (1, 2):
+                    raised = []
+
+                    def call():
+                        try:
+                            run(wl, kind, workers=workers, repetitions=1)
+                        except ValueError as exc:
+                            raised.append(exc)
+
+                    caller = threading.Thread(target=call, daemon=True)
+                    caller.start()
+                    caller.join(timeout=30)
+                    assert not caller.is_alive(), (kind, workers)
+                    assert len(raised) == 1, (kind, workers)
+                    assert set(threading.enumerate()) == before
+
+    def test_bucket_driver_follows_table_width(self):
+        wl = gen_random(5_000, 5, 8)
+        unique = len(set(wl.codes))
+        report = run(
+            wl,
+            "bucket",
+            repetitions=1,
+            table_factory=lambda: BucketTable(unique, 3, HashFamily(0, 4)),
+            verify=True,
+        )
+        assert report.inserted == unique
+        assert report.found == wl.length - unique
 
     def test_counts_match_reference(self):
         wl = gen_random(20_000, 10, 5)

@@ -9,13 +9,6 @@ def test_sentinels_are_distinct_top_words():
     assert EMPTY_WORD != CLAIMED_WORD
 
 
-def test_exchange_returns_previous_word():
-    arr = WordArray(4)
-    assert arr.exchange(2, 10) == EMPTY_WORD
-    assert arr.exchange(2, 20) == 10
-    assert arr.words[2] == 20
-
-
 def test_compare_exchange_only_fires_on_expected():
     arr = WordArray(4)
     assert arr.compare_exchange(1, EMPTY_WORD, 5)
