@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bucket import BucketTable
-from .cuckoo import FOUND, INSERTED, CuckooTable
+from .cuckoo import CuckooTable
 from .hashing import HashFamily
 from .trace import read_trace
 
@@ -136,46 +136,6 @@ def _split(codes, workers):
     return [codes[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
 
 
-def _drive_cuckoo(table, block):
-    find_or_insert = table.find_or_insert
-    inserted = found = 0
-    for key in block:
-        tag = find_or_insert(key).tag
-        if tag is INSERTED:
-            inserted += 1
-        elif tag is FOUND:
-            found += 1
-        else:
-            return inserted, found, True
-    return inserted, found, False
-
-
-def _drive_bucket(table, block):
-    find_or_insert = table.find_or_insert
-    width = table.width
-    inserted = found = 0
-    if width == 1:
-        for key in block:
-            tag = find_or_insert((key,)).tag
-            if tag is INSERTED:
-                inserted += 1
-            elif tag is FOUND:
-                found += 1
-            else:
-                return inserted, found, True
-    else:
-        pad = (0,) * (width - 1)
-        for key in block:
-            tag = find_or_insert((key,) + pad).tag
-            if tag is INSERTED:
-                inserted += 1
-            elif tag is FOUND:
-                found += 1
-            else:
-                return inserted, found, True
-    return inserted, found, False
-
-
 def run(
     workload: Workload,
     table_kind: str,
@@ -195,7 +155,8 @@ def run(
     the first of ``workers`` contiguous blocks and ``workers - 1`` threads
     replay the rest, each timed from a shared barrier; a repetition lasts
     from the earliest start to the latest finish, and one worker starts no
-    thread.  With ``verify`` the counts and the final stored set of every
+    thread.  Each worker replays its block through ``table.replay``.  With
+    ``verify`` the counts and the final stored set of every
     repetition are checked against the sequential reference set.
     """
     if table_kind not in TABLE_KINDS:
@@ -215,7 +176,6 @@ def run(
             return _build_table(
                 table_kind, unique, scale, width, hash_functions, hash_seed
             )
-    drive = _drive_cuckoo if table_kind == "cuckoo" else _drive_bucket
     blocks = _split(codes, workers)
 
     rep_times = []
@@ -233,7 +193,7 @@ def run(
             try:
                 barrier.wait()
                 start = time.perf_counter()
-                results[slot] = drive(table, blocks[slot])
+                results[slot] = table.replay(blocks[slot])
                 spans[slot] = (start, time.perf_counter())
             except BaseException as exc:  # surfaced after the join
                 errors.append(exc)

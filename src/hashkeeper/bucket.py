@@ -6,14 +6,26 @@ frames of ``width`` words each.  A bucket is read as one contiguous snapshot
 is taken by compare-exchanging its first word from empty to a claim marker,
 writing the interior words, then publishing word 0 last.  There is no
 eviction: a vector that finds all frames of all its candidate buckets taken
-means the table is full.
+means the table is full.  :meth:`BucketTable.replay` looks up whole chunks
+of keys at once through a numpy view of the words.
 """
 
 import math
+import struct
 import time
 
+import numpy as np
+
 from .hashing import MOD_PRIME, HashFamily
-from .words import CLAIMED_WORD, EMPTY_WORD, FOUND, INSERTED, TABLE_FULL, WordArray
+from .words import (
+    CLAIMED_WORD,
+    EMPTY_WORD,
+    FOUND,
+    INSERTED,
+    TABLE_FULL,
+    WordArray,
+    replay,
+)
 
 BUCKET_WORDS = 32
 
@@ -21,6 +33,10 @@ BUCKET_WORDS = 32
 MAX_LEAD_WORD = CLAIMED_WORD - 1
 
 _FOLD_MULT = 0x9E3779B1  # 32-bit golden-ratio constant
+
+# Buckets are scanned as bytes, one C-level search per vector or word sought.
+_EMPTY_BYTES = struct.pack("=I", EMPTY_WORD)
+_CLAIMED_BYTES = struct.pack("=I", CLAIMED_WORD)
 
 
 def fingerprint(vector) -> int:
@@ -34,6 +50,14 @@ def fingerprint(vector) -> int:
     for w in vector[1:]:
         fp = (fp * _FOLD_MULT + w) & 0xFFFFFFFF
     return fp
+
+
+def _find_frame(snap: bytes, packed: bytes, frame_bytes: int) -> int:
+    """Index of the first frame of ``snap`` that starts with ``packed``, or -1."""
+    at = snap.find(packed)
+    while at % frame_bytes and at > 0:  # a match off a frame boundary
+        at = snap.find(packed, at + 1)
+    return at // frame_bytes
 
 
 class BucketOutcome:
@@ -79,6 +103,8 @@ class BucketTable:
         self.family = family
         self._pairs = family.pairs
         self._words = WordArray(self.buckets * BUCKET_WORDS)
+        self._pad_mult = pow(_FOLD_MULT, width - 1, 1 << 32)
+        self._pack = struct.Struct(f"={width}I").pack
 
     # -- queries ------------------------------------------------------------
 
@@ -90,49 +116,82 @@ class BucketTable:
         v0 = vector[0]
         if not 0 <= v0 <= MAX_LEAD_WORD:
             raise ValueError(f"vector word 0 must be in [0, {MAX_LEAD_WORD}], got {v0}")
+        try:
+            packed = self._pack(*vector)
+        except struct.error:
+            raise ValueError(f"vector words must be in [0, {EMPTY_WORD}], got {vector}") from None
         fp = v0 if width == 1 else fingerprint(vector)
         nbuckets = self.buckets
         words = self._words.words
         span = self.frames_per_bucket * width
-        tail = list(vector[1:]) if width > 1 else None
+        frame_bytes = 4 * width
         retries = 0
         probed = 0
         for a, b in self._pairs:
             probed += 1
             base = (((a * fp + b) % MOD_PRIME) % nbuckets) * BUCKET_WORDS
-            snap = words[base : base + BUCKET_WORDS]
-            # Scan the snapshot: a frame matches only once fully published.
-            open_off = -1
-            if width == 1:
-                if v0 in snap:
-                    return _FOUND_FIRST if probed == 1 else BucketOutcome(FOUND, probed, retries)
-                if EMPTY_WORD in snap:
-                    open_off = snap.index(EMPTY_WORD)
-                if CLAIMED_WORD in snap:
-                    off = snap.index(CLAIMED_WORD)
-                    if open_off < 0 or off < open_off:
-                        open_off = off
-            else:
-                matched = False
-                for off in range(0, span, width):
-                    w0 = snap[off]
-                    if w0 == v0 and snap[off + 1 : off + width] == tail:
-                        matched = True
-                        break
-                    if (w0 == EMPTY_WORD or w0 == CLAIMED_WORD) and open_off < 0:
-                        open_off = off
-                if matched:
-                    return _FOUND_FIRST if probed == 1 else BucketOutcome(FOUND, probed, retries)
-            if open_off < 0:
+            # Scan a snapshot: a frame matches only once fully published.
+            snap = words[base : base + span].tobytes()
+            if _find_frame(snap, packed, frame_bytes) >= 0:
+                return _FOUND_FIRST if probed == 1 else BucketOutcome(FOUND, probed, retries)
+            frame = _find_frame(snap, _EMPTY_BYTES, frame_bytes)
+            claimed = _find_frame(snap, _CLAIMED_BYTES, frame_bytes)
+            if claimed >= 0 and (frame < 0 or claimed < frame):
+                frame = claimed
+            if frame < 0:
                 continue  # bucket permanently full for this vector
-            tag, retries = self._claim_walk(base, open_off, vector, tail, retries)
+            tag, retries = self._claim_walk(base, frame * width, vector, packed, retries)
             if tag is not None:
                 if tag is INSERTED and probed == 1 and retries == 0:
                     return _INSERTED_FIRST
                 return BucketOutcome(tag, probed, retries)
         return BucketOutcome(TABLE_FULL, probed, retries)
 
-    def _claim_walk(self, base, off, vector, tail, retries):
+    def replay(self, keys) -> tuple[int, int, bool]:
+        """Find-or-insert ``(k, 0, ..., 0)`` for each ``k`` of ``keys`` in order.
+
+        Returns ``(inserted, found, full)``.  A numpy pre-pass over each
+        chunk counts a key as found when one of its candidate buckets holds
+        a frame reading ``(k, 0, ..., 0)``: word 0 is written once, when the
+        frame is published, and interior words not yet written read
+        ``EMPTY_WORD``.  The first occurrence of every other key goes
+        through :meth:`find_or_insert`, which alone inserts.
+        """
+        pad = (0,) * (self.width - 1)
+        find_or_insert = self.find_or_insert
+        return replay(
+            keys, MAX_LEAD_WORD, self._stored, lambda key: find_or_insert((key,) + pad)
+        )
+
+    def _stored(self, keys):
+        """Mask of the uint64 ``keys`` whose padded vector is published."""
+        width = self.width
+        # fingerprint((k, 0, ..., 0)) is k times a constant, mod 2**32
+        fps = keys if width == 1 else keys * self._pad_mult & 0xFFFFFFFF
+        keys = keys.astype(np.uint32)
+        heads = self._heads()
+        stored = np.zeros(len(keys), dtype=bool)
+        pending = np.arange(len(keys))
+        for a, b in self._pairs:
+            bucket = ((fps * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
+            match = heads.take(bucket, axis=0) == keys[:, None]
+            if width == 1:
+                # the 32 match flags of a bucket, read as four 8-byte words
+                quad = match.view(np.uint64)
+                seen = (quad[:, 0] | quad[:, 1] | quad[:, 2] | quad[:, 3]) != 0
+            else:
+                # word 0 alone does not tell (k, 0, ...) from (k, 5, ...)
+                rows, cols = np.nonzero(match)
+                first = bucket[rows] * BUCKET_WORDS + cols * width
+                tails = self._words.view[first[:, None] + np.arange(1, width)]
+                seen = np.zeros(len(keys), dtype=bool)
+                seen[rows[~tails.any(axis=1)]] = True
+            stored[pending[seen]] = True
+            rest = ~seen
+            pending, fps, keys = pending[rest], fps[rest], keys[rest]
+        return stored
+
+    def _claim_walk(self, base, off, vector, packed, retries):
         """Walk frames from ``off`` live, claiming the first free one.
 
         Frames seen claimed (or lost to a concurrent claimer) are re-read
@@ -158,7 +217,7 @@ class BucketTable:
                 w0 = words[idx]
             if w0 == CLAIMED_WORD:
                 w0 = self._await_publish(idx)
-            if w0 == v0 and (width == 1 or words[idx + 1 : idx + width] == tail):
+            if w0 == v0 and words[idx : idx + width].tobytes() == packed:
                 return FOUND, retries
             off += width
         return None, retries
@@ -184,60 +243,56 @@ class BucketTable:
         v0 = vector[0]
         if not 0 <= v0 <= MAX_LEAD_WORD:
             raise ValueError(f"vector word 0 must be in [0, {MAX_LEAD_WORD}], got {v0}")
+        try:
+            packed = self._pack(*vector)
+        except struct.error:
+            raise ValueError(f"vector words must be in [0, {EMPTY_WORD}], got {vector}") from None
         fp = v0 if width == 1 else fingerprint(vector)
         nbuckets = self.buckets
         words = self._words.words
         span = self.frames_per_bucket * width
-        tail = list(vector[1:])
+        frame_bytes = 4 * width
         for a, b in self._pairs:
             base = (((a * fp + b) % MOD_PRIME) % nbuckets) * BUCKET_WORDS
-            snap = words[base : base + BUCKET_WORDS]
-            if width == 1:
-                if v0 in snap:
-                    return True
-            else:
-                for off in range(0, span, width):
-                    if snap[off] == v0 and snap[off + 1 : off + width] == tail:
-                        return True
+            if _find_frame(words[base : base + span].tobytes(), packed, frame_bytes) >= 0:
+                return True
         return False
 
     # -- whole-table operations (quiescent callers only) ---------------------
 
-    def _published(self) -> list[int]:
+    def _heads(self) -> np.ndarray:
+        """Word 0 of every frame, one row per bucket: a view, not a copy."""
+        span = self.frames_per_bucket * self.width
+        return self._words.view.reshape(-1, BUCKET_WORDS)[:, : span : self.width]
+
+    def _published(self) -> np.ndarray:
         """Word index of every published frame, in table order.
 
         Claimed frames are skipped, and so are the trailing words of a
         bucket that no frame covers when ``width`` does not divide 32.
         """
-        words = self._words.words
-        width = self.width
-        span = self.frames_per_bucket * width
-        offsets = range(0, span, width)
         # Both sentinels sit at the top of the word range, so one comparison
         # rejects empty and claimed frames alike.
-        return [
-            base + off
-            for base in range(0, len(words), BUCKET_WORDS)
-            for off, w0 in zip(offsets, words[base : base + span : width])
-            if w0 < CLAIMED_WORD
-        ]
+        bucket, frame = np.nonzero(self._heads() < CLAIMED_WORD)
+        return bucket * BUCKET_WORDS + frame * self.width
+
+    def _vectors(self, first: np.ndarray) -> list[tuple]:
+        """The vectors of the frames starting at word indices ``first``."""
+        words = self._words.view[first[:, None] + np.arange(self.width)]
+        return list(map(tuple, words.tolist()))
 
     def stored_vectors(self) -> set[tuple]:
         """Set of fully published vectors; quiescent use."""
-        words = self._words.words
-        width = self.width
-        return {tuple(words[i : i + width]) for i in self._published()}
+        return set(self._vectors(self._published()))
 
     def stored_keys(self) -> set[int]:
         """Set of word 0 of every published vector; quiescent use."""
-        words = self._words.words
-        return {words[i] for i in self._published()}
+        return set(self._words.view[self._published()].tolist())
 
     def frame_map(self) -> dict[int, tuple]:
         """Published vectors keyed by the word index of their frame."""
-        words = self._words.words
-        width = self.width
-        return {i: tuple(words[i : i + width]) for i in self._published()}
+        first = self._published()
+        return dict(zip(first.tolist(), self._vectors(first)))
 
     def stored_count(self) -> int:
         """Number of occupied frames."""

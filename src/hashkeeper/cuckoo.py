@@ -13,15 +13,26 @@ that no key moved during the scan, and keys being carried between slots
 stay visible through an in-flight registry.  Relocations serialize on one
 lock, which is what makes "insert each distinct key exactly once" hold even
 when eviction chains and duplicate inserts interleave.  Rebuilds require
-external quiescence.
+external quiescence.  The slots are an ``array('I')`` of 32-bit words with a
+numpy view, which :meth:`CuckooTable.replay` reads to look up whole chunks
+of keys at once.
 """
 
 import math
 import threading
 import time
 
+import numpy as np
+
 from .hashing import MOD_PRIME, HashFamily
-from .words import EMPTY_WORD, FOUND, INSERTED, TABLE_FULL
+from .words import (
+    EMPTY_WORD,
+    FOUND,
+    INSERTED,
+    TABLE_FULL,
+    replay,
+    word_array,
+)
 
 # Largest storable key: one word below the empty sentinel.
 MAX_KEY = EMPTY_WORD - 1
@@ -90,7 +101,7 @@ class CuckooTable:
         self._later = family.pairs[1:]
         # each function paired with the one after it, the last wrapping round
         self._steps = tuple(zip(family.pairs, self._later + family.pairs[:1]))
-        self._slots = [EMPTY_WORD] * self.m
+        self._slots, self._view = word_array(self.m)
         self._stash = [EMPTY_WORD] * stash_size
         self._stash_used = 0
         # Relocation protocol state: one lock serializes all slot and stash
@@ -114,6 +125,27 @@ class CuckooTable:
             outcome = self._try_place(key, slot0, version)
             if outcome is not None:
                 return outcome
+
+    def replay(self, keys) -> tuple[int, int, bool]:
+        """Find-or-insert every key of ``keys`` in order: ``(inserted, found, full)``.
+
+        A numpy pre-pass over each chunk counts the keys it sees in one of
+        their candidate slots as found: keys never leave the table, so a
+        slot holding ``k`` means ``k`` is stored.  The first occurrence of
+        every other key goes through :meth:`find_or_insert`, which alone
+        inserts.
+        """
+        return replay(keys, MAX_KEY, self._stored, self.find_or_insert)
+
+    def _stored(self, keys):
+        """Mask of the uint64 ``keys`` found in one of their candidate slots."""
+        # a * k + b < 2**64 for 32-bit a, b and k, so uint64 hashing is exact
+        view = self._view
+        m = self.m
+        stored = np.zeros(len(keys), dtype=bool)
+        for a, b in self._pairs:
+            stored |= view[(keys * a + b) % MOD_PRIME % m] == keys
+        return stored
 
     def contains(self, key: int) -> bool:
         if not 0 <= key <= MAX_KEY:
@@ -296,16 +328,15 @@ class CuckooTable:
 
     def stored_keys(self) -> set[int]:
         """Set of keys currently stored in the slots and the stash."""
-        empty = EMPTY_WORD
-        keys = {w for w in self._slots if w != empty}
-        keys.update(w for w in self._stash if w != empty)
+        view = self._view
+        keys = set(view[view != EMPTY_WORD].tolist())
+        keys.update(w for w in self._stash if w != EMPTY_WORD)
         return keys
 
     def stored_count(self) -> int:
         """Number of occupied words (slots plus stash)."""
-        empty = EMPTY_WORD
-        n = sum(1 for w in self._slots if w != empty)
-        return n + sum(1 for w in self._stash if w != empty)
+        n = int(np.count_nonzero(self._view != EMPTY_WORD))
+        return n + sum(1 for w in self._stash if w != EMPTY_WORD)
 
     @property
     def capacity(self) -> int:

@@ -1,6 +1,9 @@
 """Shared plumbing for tables built from arrays of 32-bit words."""
 
 import threading
+from array import array
+
+import numpy as np
 
 # All-ones word marks a vacant slot; all-ones minus one marks a frame that has
 # been reserved but whose payload is not fully published yet (bucketed table
@@ -13,22 +16,34 @@ INSERTED = "inserted"
 FOUND = "found"
 TABLE_FULL = "table_full"
 
+# Keys per pre-pass of ``replay``: each chunk is converted, hashed and
+# gathered as a few arrays of this length.
+REPLAY_CHUNK = 1 << 14
+
 _STRIPES = 64  # power of two
+
+
+def word_array(size: int) -> tuple[array, np.ndarray]:
+    """``size`` empty 32-bit words and a numpy view sharing their memory."""
+    words = array("I", [EMPTY_WORD]) * size
+    assert words.itemsize == 4
+    return words, np.frombuffer(words, dtype=np.uint32)
 
 
 class WordArray:
     """Fixed array of 32-bit words, all empty at first, with compare-exchange.
 
-    Plain indexed loads and stores of a Python list are individually atomic
+    ``words`` is an ``array('I')`` and ``view`` a numpy view of the same
+    memory.  Indexed loads and stores of the array are individually atomic
     under the interpreter lock, so readers may touch ``words`` directly.  The
     striped locks exist only to make each compare-exchange, a read-modify-write
     pair, a single atomic step with respect to the others.
     """
 
-    __slots__ = ("words", "_locks")
+    __slots__ = ("words", "view", "_locks")
 
     def __init__(self, size: int):
-        self.words = [EMPTY_WORD] * size
+        self.words, self.view = word_array(size)
         self._locks = [threading.Lock() for _ in range(min(_STRIPES, max(1, size)))]
 
     def compare_exchange(self, index: int, expected: int, value: int) -> bool:
@@ -40,3 +55,49 @@ class WordArray:
                 return False
             words[index] = value
             return True
+
+
+def replay(keys, max_key: int, stored, find_or_insert) -> tuple[int, int, bool]:
+    """Find-or-insert ``keys`` in order: ``(inserted, found, full)``.
+
+    ``stored`` is a table's pre-pass: it takes the keys of a chunk that lie
+    in ``[0, max_key]``, as uint64, and returns the mask of those it sees
+    stored.  A key it sees is stored for good, so it counts as found.  The
+    first occurrence in the chunk of every other key goes to
+    ``find_or_insert``, the only path that inserts; its later occurrences
+    are stored by then and count as found.  Replay stops at the first
+    ``TABLE_FULL``, and ``found`` then counts only the keys before it.
+    """
+    inserted = 0
+    for start in range(0, len(keys), REPLAY_CHUNK):
+        chunk = keys[start : start + REPLAY_CHUNK]
+        for i in _first_misses(chunk, max_key, stored):
+            tag = find_or_insert(chunk[i]).tag
+            if tag is INSERTED:
+                inserted += 1
+            elif tag is not FOUND:
+                return inserted, start + i - inserted, True
+    return inserted, len(keys) - inserted, False
+
+
+def _first_misses(chunk, max_key: int, stored):
+    """Positions of the first occurrence of each key of ``chunk`` not seen stored.
+
+    A key outside ``[0, max_key]``, a sentinel among them, is never looked
+    up, so ``find_or_insert`` rejects it in its place in the sequence.  A
+    chunk holding a key that is no int or does not fit int64 goes to
+    ``find_or_insert`` whole, for the same reason.
+    """
+    try:
+        codes = np.frombuffer(array("q", chunk), dtype=np.int64)
+    except (OverflowError, TypeError):
+        return range(len(chunk))
+    at = np.flatnonzero((codes >= 0) & (codes <= max_key))
+    hit = np.zeros(len(codes), dtype=bool)
+    hit[at[stored(codes[at].astype(np.uint64))]] = True
+    miss = np.flatnonzero(~hit)
+    order = np.argsort(codes[miss], kind="stable")
+    ranked = codes[miss[order]]
+    first = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return np.sort(miss[order[first]]).tolist()

@@ -232,7 +232,7 @@ def test_criterion_5_torn_read_freedom():
                             violations.append(("interior before claim", off, snap))
                     elif w != CLAIMED_WORD:
                         expected = by_lead.get(w)
-                        if expected is None or snap[off + 1 : off + 3] != list(
+                        if expected is None or list(snap[off + 1 : off + 3]) != list(
                             expected[1:]
                         ):
                             violations.append(("torn frame", off, snap))

@@ -152,6 +152,11 @@ class TestRun:
             def find_or_insert(self, key):
                 return _OUT
 
+            def replay(self, keys):
+                for key in keys:
+                    self.find_or_insert(key)
+                return len(keys), 0, False
+
             def stored_count(self):
                 return 0
 

@@ -271,10 +271,12 @@ class TestEnumeration:
         # an insert caught between its claim and its publication
         claimed = next(i for i in heads if words[i] == EMPTY_WORD)
         words[claimed] = CLAIMED_WORD
-        words[claimed + 1 : claimed + width] = [7] * (width - 1)
+        for i in range(claimed + 1, claimed + width):
+            words[i] = 7
         # words past the last frame of a bucket belong to no frame
         for base in range(0, len(words), BUCKET_WORDS):
-            words[base + span : base + BUCKET_WORDS] = [5] * (BUCKET_WORDS - span)
+            for i in range(base + span, base + BUCKET_WORDS):
+                words[i] = 5
         frames = t.frame_map()
         assert claimed not in frames
         assert t.stored_count() == len(frames) == len(t.stored_vectors()) == len(vectors)
