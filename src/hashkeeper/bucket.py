@@ -135,9 +135,14 @@ class BucketTable:
             if _find_frame(snap, packed, frame_bytes) >= 0:
                 return _FOUND_FIRST if probed == 1 else BucketOutcome(FOUND, probed, retries)
             frame = _find_frame(snap, _EMPTY_BYTES, frame_bytes)
-            claimed = _find_frame(snap, _CLAIMED_BYTES, frame_bytes)
-            if claimed >= 0 and (frame < 0 or claimed < frame):
-                frame = claimed
+            # A frame claimed before the first empty one may be publishing
+            # this vector, so the walk starts there.  The search stops at the
+            # empty frame: a run of empty words makes it slow.
+            end = frame * frame_bytes if frame >= 0 else len(snap)
+            if snap.find(_CLAIMED_BYTES, 0, end) >= 0:
+                claimed = _find_frame(snap[:end], _CLAIMED_BYTES, frame_bytes)
+                if claimed >= 0:
+                    frame = claimed
             if frame < 0:
                 continue  # bucket permanently full for this vector
             tag, retries = self._claim_walk(base, frame * width, vector, packed, retries)
