@@ -156,8 +156,8 @@ def run(
     replay the rest, each timed from a shared barrier; a repetition lasts
     from the earliest start to the latest finish, and one worker starts no
     thread.  Each worker replays its block through ``table.replay``.  With
-    ``verify`` the counts and the final stored set of every
-    repetition are checked against the sequential reference set.
+    ``verify`` the counts and the final stored set of every repetition are
+    checked against the sequential reference set.
     """
     if table_kind not in TABLE_KINDS:
         raise ValueError(f"table must be one of {TABLE_KINDS}, got {table_kind!r}")

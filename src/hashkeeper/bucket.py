@@ -281,10 +281,11 @@ class BucketTable:
         bucket, frame = np.nonzero(self._heads() < CLAIMED_WORD)
         return bucket * BUCKET_WORDS + frame * self.width
 
-    def _vectors(self, first: np.ndarray) -> list[tuple]:
-        """The vectors of the frames starting at word indices ``first``."""
-        words = self._words.view[first[:, None] + np.arange(self.width)]
-        return list(map(tuple, words.tolist()))
+    def _vectors(self, first: np.ndarray):
+        """The vectors of the frames starting at word indices ``first``, in order."""
+        # one list per word position, zipped into tuples: no list per vector
+        view = self._words.view
+        return zip(*(view[first + k].tolist() for k in range(self.width)))
 
     def stored_vectors(self) -> set[tuple]:
         """Set of fully published vectors; quiescent use."""

@@ -1,4 +1,8 @@
-"""Shared plumbing for tables built from arrays of 32-bit words."""
+"""Shared plumbing for tables built from arrays of 32-bit words.
+
+The word storage with its compare-exchange, and ``replay``, the chunked
+find-or-insert of a whole key sequence that both tables run.
+"""
 
 import threading
 from array import array
