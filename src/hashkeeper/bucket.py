@@ -52,11 +52,11 @@ def fingerprint(vector) -> int:
     return fp
 
 
-def _find_frame(snap: bytes, packed: bytes, frame_bytes: int) -> int:
-    """Index of the first frame of ``snap`` that starts with ``packed``, or -1."""
-    at = snap.find(packed)
+def _find_frame(snap: bytes, packed: bytes, frame_bytes: int, end=None) -> int:
+    """Index of the first frame of ``snap[:end]`` that starts with ``packed``, or -1."""
+    at = snap.find(packed, 0, end)
     while at % frame_bytes and at > 0:  # a match off a frame boundary
-        at = snap.find(packed, at + 1)
+        at = snap.find(packed, at + 1, end)
     return at // frame_bytes
 
 
@@ -139,10 +139,9 @@ class BucketTable:
             # this vector, so the walk starts there.  The search stops at the
             # empty frame: a run of empty words makes it slow.
             end = frame * frame_bytes if frame >= 0 else len(snap)
-            if snap.find(_CLAIMED_BYTES, 0, end) >= 0:
-                claimed = _find_frame(snap[:end], _CLAIMED_BYTES, frame_bytes)
-                if claimed >= 0:
-                    frame = claimed
+            claimed = _find_frame(snap, _CLAIMED_BYTES, frame_bytes, end)
+            if claimed >= 0:
+                frame = claimed
             if frame < 0:
                 continue  # bucket permanently full for this vector
             tag, retries = self._claim_walk(base, frame * width, vector, packed, retries)
@@ -169,32 +168,38 @@ class BucketTable:
         )
 
     def _stored(self, keys):
-        """Mask of the uint64 ``keys`` whose padded vector is published."""
+        """Mask of the uint64 ``keys`` whose padded vector is published.
+
+        Reads :meth:`_heads`, a live view, while other threads may insert.
+        """
         width = self.width
         # fingerprint((k, 0, ..., 0)) is k times a constant, mod 2**32
-        fps = keys if width == 1 else keys * self._pad_mult & 0xFFFFFFFF
+        fps = keys * self._pad_mult & 0xFFFFFFFF
         keys = keys.astype(np.uint32)
         heads = self._heads()
+        frames = heads.shape[1]
+        # word 0 alone does not tell (k, 0, ...) from (k, 5, ...)
+        interior = np.arange(1, width)
         stored = np.zeros(len(keys), dtype=bool)
         pending = np.arange(len(keys))
         for a, b in self._pairs:
             bucket = ((fps * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
-            match = heads.take(bucket, axis=0) == keys[:, None]
-            if width == 1:
-                # the 32 match flags of a bucket, read as four 8-byte words
-                quad = match.view(np.uint64)
-                seen = (quad[:, 0] | quad[:, 1] | quad[:, 2] | quad[:, 3]) != 0
-            else:
-                # word 0 alone does not tell (k, 0, ...) from (k, 5, ...)
-                rows, cols = np.nonzero(match)
-                first = bucket[rows] * BUCKET_WORDS + cols * width
-                tails = self._words.view[first[:, None] + np.arange(1, width)]
-                seen = np.zeros(len(keys), dtype=bool)
-                seen[rows[~tails.any(axis=1)]] = True
+            # flatnonzero and divmod: a quarter of the time of a 2-D nonzero
+            flat = np.flatnonzero(heads.take(bucket, axis=0) == keys[:, None])
+            rows, cols = np.divmod(flat, frames)
+            first = bucket[rows] * BUCKET_WORDS + cols * width
+            tails = self._words.view[first[:, None] + interior]
+            seen = np.zeros(len(keys), dtype=bool)
+            seen[rows[~tails.any(axis=1)]] = True
             stored[pending[seen]] = True
             rest = ~seen
             pending, fps, keys = pending[rest], fps[rest], keys[rest]
         return stored
+
+    def _heads(self) -> np.ndarray:
+        """Word 0 of every frame, one row per bucket: a live view, not a copy."""
+        span = self.frames_per_bucket * self.width
+        return self._words.view.reshape(-1, BUCKET_WORDS)[:, : span : self.width]
 
     def _claim_walk(self, base, off, vector, packed, retries):
         """Walk frames from ``off`` live, claiming the first free one.
@@ -264,11 +269,6 @@ class BucketTable:
         return False
 
     # -- whole-table operations (quiescent callers only) ---------------------
-
-    def _heads(self) -> np.ndarray:
-        """Word 0 of every frame, one row per bucket: a view, not a copy."""
-        span = self.frames_per_bucket * self.width
-        return self._words.view.reshape(-1, BUCKET_WORDS)[:, : span : self.width]
 
     def _published(self) -> np.ndarray:
         """Word index of every published frame, in table order.

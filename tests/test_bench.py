@@ -15,10 +15,11 @@ from hashkeeper.bench import (
     run,
     sweep,
 )
-from hashkeeper.bucket import BucketTable
-from hashkeeper.cuckoo import INSERTED, InsertOutcome
+from hashkeeper.bucket import MAX_LEAD_WORD, BucketTable
+from hashkeeper.cuckoo import INSERTED, MAX_KEY, InsertOutcome
 from hashkeeper.hashing import HashFamily
 from hashkeeper.trace import explore, example_model, write_trace
+from hashkeeper.words import EMPTY_WORD
 from hashkeeper import cli
 
 
@@ -73,27 +74,30 @@ class TestRun:
                 assert not report.table_full
 
     def test_worker_error_surfaces_after_join(self):
-        # the code 2**32 is out of range for both tables; with 2 workers it
-        # lands in the thread's block, then in the caller's
+        # each bad code is out of range for the table: a sentinel word (the
+        # one just past its largest key, then the empty word), past 32 bits,
+        # negative, or past int64; with 2 workers it lands in the thread's
+        # block, then in the caller's
         before = set(threading.enumerate())
-        for codes in ([1, 2**32, 3], [2**32, 1, 3]):
-            wl = bench.Workload(codes, "unit", len(codes), 1.0)
-            for kind in ("cuckoo", "bucket"):
-                for workers in (1, 2):
-                    raised = []
+        for kind, top in (("cuckoo", MAX_KEY), ("bucket", MAX_LEAD_WORD)):
+            for bad in (top + 1, EMPTY_WORD, 2**32, -1, -(2**63) - 1, 2**63, 2**64):
+                for codes in ([1, bad, 3], [bad, 1, 3]):
+                    wl = bench.Workload(codes, "unit", len(codes), 1.0)
+                    for workers in (1, 2):
+                        raised = []
 
-                    def call():
-                        try:
-                            run(wl, kind, workers=workers, repetitions=1)
-                        except ValueError as exc:
-                            raised.append(exc)
+                        def call():
+                            try:
+                                run(wl, kind, workers=workers, repetitions=1)
+                            except ValueError as exc:
+                                raised.append(exc)
 
-                    caller = threading.Thread(target=call, daemon=True)
-                    caller.start()
-                    caller.join(timeout=30)
-                    assert not caller.is_alive(), (kind, workers)
-                    assert len(raised) == 1, (kind, workers)
-                    assert set(threading.enumerate()) == before
+                        caller = threading.Thread(target=call, daemon=True)
+                        caller.start()
+                        caller.join(timeout=30)
+                        assert not caller.is_alive(), (kind, bad, workers)
+                        assert len(raised) == 1, (kind, bad, workers)
+                        assert set(threading.enumerate()) == before
 
     def test_bucket_driver_follows_table_width(self):
         wl = gen_random(5_000, 5, 8)

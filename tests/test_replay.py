@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from hashkeeper import bench, words
+from hashkeeper import words
 from hashkeeper.bucket import MAX_LEAD_WORD, BucketTable
 from hashkeeper.cuckoo import MAX_KEY, CuckooTable
 from hashkeeper.hashing import HashFamily
@@ -168,15 +168,6 @@ def test_bucket_claimed_word_is_never_found(width):
     for key in (CLAIMED_WORD, EMPTY_WORD):
         with pytest.raises(ValueError):
             table.replay([1, key])
-
-
-@pytest.mark.parametrize("kind", ["cuckoo", "bucket"])
-def test_bad_key_through_bench_run_with_two_workers(kind):
-    for bad in bad_keys(kind):
-        codes = list(range(1, 40)) + [bad] + list(range(40, 80))
-        wl = bench.Workload(codes, "unit", len(codes), 1.0)
-        with pytest.raises(ValueError):
-            bench.run(wl, kind, workers=2, repetitions=1)
 
 
 def test_width_three_interior_words_checked():
