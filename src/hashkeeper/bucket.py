@@ -7,7 +7,9 @@ is taken by compare-exchanging its first word from empty to a claim marker,
 writing the interior words, then publishing word 0 last.  There is no
 eviction: a vector that finds all frames of all its candidate buckets taken
 means the table is full.  :meth:`BucketTable.replay` looks up whole chunks
-of keys at once through a numpy view of the words.
+of keys at once through a numpy view of the words, and inserts their misses
+in one lockstep step under every stripe lock, falling back to the per-key
+protocol when the step cannot place the whole chunk.
 """
 
 import math
@@ -158,14 +160,80 @@ class BucketTable:
         chunk counts a key as found when one of its candidate buckets holds
         a frame reading ``(k, 0, ..., 0)``: word 0 is written once, when the
         frame is published, and interior words not yet written read
-        ``EMPTY_WORD``.  The first occurrence of every other key goes
-        through :meth:`find_or_insert`, which alone inserts.
+        ``EMPTY_WORD``.  :meth:`_lockstep` inserts the first occurrence of
+        every other key, the whole chunk at once; when it declines, they go
+        through :meth:`find_or_insert` one by one.
         """
         pad = (0,) * (self.width - 1)
         find_or_insert = self.find_or_insert
         return replay(
-            keys, MAX_LEAD_WORD, self._stored, lambda key: find_or_insert((key,) + pad)
+            keys,
+            MAX_LEAD_WORD,
+            self._stored,
+            lambda key: find_or_insert((key,) + pad),
+            self._lockstep,
         )
+
+    def _lockstep(self, keys):
+        """Insert ``(k, 0, ..., 0)`` for the distinct int64 ``keys``; None declines.
+
+        Holds every stripe lock, so no frame can be claimed meanwhile.  A
+        frame already claimed in a candidate bucket may be publishing one
+        of the keys, so the step declines rather than wait for it.  Keys
+        published since the pre-pass are dropped.  The rest are placed as
+        GPUexplore places a warp's vectors in a bucket (Wijs and Bosnacki,
+        2014): grouped by their function-0 bucket in emission order, the
+        first ``free`` keys of a group take the bucket's next empty frames,
+        occupied frames being a prefix of each bucket, and the rest move on
+        to the next function.  A key left after the last function makes
+        the step decline with the table untouched.  Frames are then claimed,
+        filled and published in three scatters, so readers only ever see
+        empty, claimed or complete frames.
+        """
+        table = self._words
+        for lock in table._locks:
+            lock.acquire()
+        try:
+            keys = keys.astype(np.uint64)
+            fps = keys * self._pad_mult & 0xFFFFFFFF
+            nbuckets = self.buckets
+            buckets = np.stack(
+                [((fps * a + b) % MOD_PRIME % nbuckets).astype(np.intp) for a, b in self._pairs]
+            )
+            heads = self._heads()
+            if (heads[buckets.ravel()] == CLAIMED_WORD).any():
+                return None
+            absent = ~self._stored(keys)
+            keys, buckets = keys[absent], buckets[:, absent]
+            if not len(keys):
+                return 0
+            per = self.frames_per_bucket
+            taken = np.zeros(nbuckets, dtype=np.intp)
+            first = np.empty(len(keys), dtype=np.intp)  # word 0 of each key's frame
+            pending = np.arange(len(keys))
+            for row in buckets:
+                pending = pending[np.argsort(row[pending], kind="stable")]
+                bucket = row[pending]
+                rank = np.arange(len(bucket)) - np.searchsorted(bucket, bucket)
+                empty = np.count_nonzero(heads[bucket] == EMPTY_WORD, axis=1)
+                frame = per - empty + taken[bucket] + rank
+                fits = frame < per
+                first[pending[fits]] = bucket[fits] * BUCKET_WORDS + frame[fits] * self.width
+                np.add.at(taken, bucket[fits], 1)
+                pending = np.sort(pending[~fits])
+                if not len(pending):
+                    break
+            else:
+                return None
+            view = table.view
+            if self.width > 1:
+                view[first] = CLAIMED_WORD
+                view[(first[:, None] + np.arange(1, self.width)).ravel()] = 0
+            view[first] = keys
+            return len(keys)
+        finally:
+            for lock in table._locks:
+                lock.release()
 
     def _stored(self, keys):
         """Mask of the uint64 ``keys`` whose padded vector is published.

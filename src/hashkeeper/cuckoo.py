@@ -14,8 +14,10 @@ stay visible through an in-flight registry.  Relocations serialize on one
 lock, which is what makes "insert each distinct key exactly once" hold even
 when eviction chains and duplicate inserts interleave.  Rebuilds require
 external quiescence.  The slots are an ``array('I')`` of 32-bit words with a
-numpy view, which :meth:`CuckooTable.replay` reads to look up whole chunks
-of keys at once.
+numpy view, through which :meth:`CuckooTable.replay` looks up whole chunks
+of keys at once and inserts their misses in lockstep rounds under the
+relocation lock, falling back to the per-key protocol when the rounds
+cannot place the whole chunk.
 """
 
 import math
@@ -131,11 +133,11 @@ class CuckooTable:
 
         A numpy pre-pass over each chunk counts the keys it sees in one of
         their candidate slots as found: keys never leave the table, so a
-        slot holding ``k`` means ``k`` is stored.  The first occurrence of
-        every other key goes through :meth:`find_or_insert`, which alone
-        inserts.
+        slot holding ``k`` means ``k`` is stored.  :meth:`_lockstep` inserts
+        the first occurrence of every other key, the whole chunk at once;
+        when it declines, they go through :meth:`find_or_insert` one by one.
         """
-        return replay(keys, MAX_KEY, self._stored, self.find_or_insert)
+        return replay(keys, MAX_KEY, self._stored, self.find_or_insert, self._lockstep)
 
     def _stored(self, keys):
         """Mask of the uint64 ``keys`` found in one of their candidate slots."""
@@ -146,6 +148,72 @@ class CuckooTable:
         for a, b in self._pairs:
             stored |= view[(keys * a + b) % MOD_PRIME % m] == keys
         return stored
+
+    def _lockstep(self, keys):
+        """Insert the distinct int64 ``keys`` in rounds; None when it declines.
+
+        Runs under the relocation lock.  Keys another worker stored or is
+        carrying since the pre-pass are dropped; the rest are inserted as
+        GPU cuckoo tables insert a warp (Alcantara et al., 2009), on a
+        private copy of the slots.  In each round every pending key writes
+        its current function's slot and the last writer wins.  A key
+        overwritten in the same round moves on to its next function, and a
+        displaced resident to the function after the smallest one that maps
+        it to that slot, as in :meth:`_run_chain`, so slots only go empty ->
+        occupied along each key's functions.  If every key is placed within
+        ``max_evictions`` rounds, the written slots are published under one
+        version bump and the count of inserted keys is returned.  Otherwise
+        the table is left untouched: the stash is never written.
+        """
+        lock = self._write_lock
+        if not lock.acquire(False):
+            self._acquire_write_lock()
+        try:
+            keys = keys.astype(np.uint64)
+            absent = ~self._stored(keys)
+            # keys off the slots: stashed, or carried along another chain
+            held = [w for w in self._stash if w != EMPTY_WORD]
+            held += self._inflight.values()
+            if held:
+                absent &= ~np.isin(keys, held)
+            keys = keys[absent]
+            if not len(keys):
+                return 0
+            view = self._view
+            work = view.copy()
+            m = self.m
+            count = len(self._pairs)
+            a, b = np.array(self._pairs, dtype=np.uint64).T
+            pending = keys
+            step = np.zeros(len(keys), dtype=np.intp)
+            written = []
+            for _ in range(self.max_evictions):
+                if not len(pending):
+                    break
+                slot = ((pending * a[step] + b[step]) % MOD_PRIME % m).astype(np.intp)
+                resident = work[slot]
+                work[slot] = pending
+                won = work[slot] == pending
+                resident, slot = resident[won], slot[won]
+                written.append(slot)
+                displaced = resident != EMPTY_WORD
+                resident = resident[displaced].astype(np.uint64)
+                slot = slot[displaced]
+                first = np.argmax(
+                    (resident[:, None] * a + b) % MOD_PRIME % m == slot[:, None], axis=1
+                )
+                pending = np.concatenate((pending[~won], resident))
+                step = np.concatenate((step[~won] + 1, first + 1)) % count
+            if len(pending):
+                return None
+            written = np.concatenate(written)
+            version = self._version
+            self._version = version + 1
+            view[written] = work[written]
+            self._version = version + 2
+            return len(keys)
+        finally:
+            lock.release()
 
     def contains(self, key: int) -> bool:
         if not 0 <= key <= MAX_KEY:
@@ -349,18 +417,13 @@ class CuckooTable:
         the table once plain rehashing stops helping; raises
         :class:`RebuildError` when every attempt fails.
         """
-        keys = self.stored_keys()
+        keys = list(self.stored_keys())
         expected = max(self._expected, len(keys), 1)
         bound = self.max_evictions if self._explicit_bound else None
         for attempt in range(_REBUILD_ATTEMPTS):
             family = HashFamily(seed + attempt, self.family.count)
             fresh = CuckooTable(expected, family, bound, self.stash_size, self._scale)
-            ok = True
-            for k in keys:
-                if fresh.find_or_insert(k).tag == TABLE_FULL:
-                    ok = False
-                    break
-            if ok:
+            if not fresh.replay(keys)[2]:
                 fresh.rebuild_count = self.rebuild_count + 1
                 return fresh
             if attempt >= _REBUILD_ATTEMPTS // 2:

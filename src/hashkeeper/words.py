@@ -1,7 +1,9 @@
 """Shared plumbing for tables built from arrays of 32-bit words.
 
 The word storage with its compare-exchange, and ``replay``, the chunked
-find-or-insert of a whole key sequence that both tables run.
+find-or-insert of a whole key sequence that both tables run: a numpy
+pre-pass finds a chunk's stored keys, the table's lockstep step inserts the
+rest at once, and the per-key protocol takes over only where it declines.
 """
 
 import threading
@@ -61,47 +63,57 @@ class WordArray:
             return True
 
 
-def replay(keys, max_key: int, stored, find_or_insert) -> tuple[int, int, bool]:
+def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, int, bool]:
     """Find-or-insert ``keys`` in order: ``(inserted, found, full)``.
 
-    ``stored`` is a table's pre-pass: it takes the keys of a chunk that lie
-    in ``[0, max_key]``, as uint64, and returns the mask of those it sees
-    stored.  A key it sees is stored for good, so it counts as found.  The
-    first occurrence in the chunk of every other key goes to
-    ``find_or_insert``, the only path that inserts; its later occurrences
-    are stored by then and count as found.  Replay stops at the first
-    ``TABLE_FULL``, and ``found`` then counts only the keys before it.
+    ``stored`` is a table's pre-pass: it takes the keys of a chunk, as
+    uint64, and returns the mask of those it sees stored.  A key it sees is
+    stored for good, so it counts as found.  The first occurrence in the
+    chunk of every other key goes to ``lockstep`` in one int64 array, in
+    the order the chunk emits them; it inserts the chunk's misses at once
+    and returns how many it inserted, the rest having been stored by
+    others, or declines with ``None`` and leaves the table untouched.  Only
+    then do those keys go to ``find_or_insert`` one at a time.  A chunk
+    holding a key outside ``[0, max_key]``, or one that is no int, goes to
+    ``find_or_insert`` whole, which raises ``ValueError`` in the key's
+    place.  Replay stops at the first ``TABLE_FULL``, and ``found`` then
+    counts only the keys before it.
     """
     inserted = 0
     for start in range(0, len(keys), REPLAY_CHUNK):
         chunk = keys[start : start + REPLAY_CHUNK]
-        for i in _first_misses(chunk, max_key, stored):
-            tag = find_or_insert(chunk[i]).tag
+        misses = _first_misses(chunk, max_key, stored)
+        if misses is not None:
+            placed = lockstep(misses) if len(misses) else 0
+            if placed is not None:
+                inserted += placed
+                continue
+            misses = misses.tolist()
+        for key in chunk if misses is None else misses:
+            tag = find_or_insert(key).tag
             if tag is INSERTED:
                 inserted += 1
             elif tag is not FOUND:
-                return inserted, start + i - inserted, True
+                # every earlier occurrence of a full key missed too
+                return inserted, start + chunk.index(key) - inserted, True
     return inserted, len(keys) - inserted, False
 
 
 def _first_misses(chunk, max_key: int, stored):
-    """Positions of the first occurrence of each key of ``chunk`` not seen stored.
+    """The first occurrence of each key of ``chunk`` not seen stored, in order.
 
-    A key outside ``[0, max_key]``, a sentinel among them, is never looked
-    up, so ``find_or_insert`` rejects it in its place in the sequence.  A
-    chunk holding a key that is no int or does not fit int64 goes to
-    ``find_or_insert`` whole, for the same reason.
+    Returns an int64 array, or ``None`` when the chunk holds a key that is
+    no int or lies outside ``[0, max_key]``, a sentinel among them.
     """
     try:
         codes = np.frombuffer(array("q", chunk), dtype=np.int64)
     except (OverflowError, TypeError):
-        return range(len(chunk))
-    at = np.flatnonzero((codes >= 0) & (codes <= max_key))
-    hit = np.zeros(len(codes), dtype=bool)
-    hit[at[stored(codes[at].astype(np.uint64))]] = True
-    miss = np.flatnonzero(~hit)
+        return None
+    if codes.min() < 0 or codes.max() > max_key:
+        return None
+    miss = np.flatnonzero(~stored(codes.astype(np.uint64)))
     order = np.argsort(codes[miss], kind="stable")
     ranked = codes[miss[order]]
     first = np.ones(len(ranked), dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    return np.sort(miss[order[first]]).tolist()
+    return codes[np.sort(miss[order[first]])]

@@ -2,12 +2,13 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from hashkeeper import words
-from hashkeeper.bucket import MAX_LEAD_WORD, BucketTable
+from hashkeeper.bucket import MAX_LEAD_WORD, BucketTable, fingerprint
 from hashkeeper.cuckoo import MAX_KEY, CuckooTable
 from hashkeeper.hashing import HashFamily
 from hashkeeper.trace import example_model, explore
@@ -87,6 +88,12 @@ def test_replay_matches_per_key_loop(kind, width, block, chunk, monkeypatch):
     assert table.stored_count() == expected.stored_count()
     if not reference[2]:
         assert table.stored_keys() == set(keys)
+        # the per-key lookup stops at a key's first vacant candidate
+        pad = (0,) * (width - 1)
+        if kind == "cuckoo":
+            assert all(table.contains(k) for k in set(keys))
+        else:
+            assert all(table.contains((k,) + pad) for k in set(keys))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -105,22 +112,124 @@ def test_full_table_stops_at_the_same_key(kind, width, chunk, monkeypatch):
     assert contents(table) == contents(expected)
 
 
-@pytest.mark.parametrize("kind,width", TABLES)
-def test_each_missed_key_reaches_find_or_insert_once_per_chunk(kind, width):
-    table = make_table(kind, width, 100)
-    calls = []
-    find_or_insert = table.find_or_insert
+def spy(table, name, calls):
+    """Record each argument of ``table.<name>`` in ``calls``, then call it."""
+    method = getattr(table, name)
 
     def counted(arg):
         calls.append(arg)
-        return find_or_insert(arg)
+        return method(arg)
 
-    table.find_or_insert = counted
+    setattr(table, name, counted)
+
+
+def lead_words(calls):
+    return [c if isinstance(c, int) else c[0] for c in calls]
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_each_missed_key_reaches_the_lockstep_once_per_chunk(kind, width):
+    table = make_table(kind, width, 100)
+    calls = []
+    spy(table, "_lockstep", calls)
     assert table.replay([5, 9, 5, 5, 9, 7]) == (3, 3, False)
-    assert [c if kind == "cuckoo" else c[0] for c in calls] == [5, 9, 7]
+    assert [c.tolist() for c in calls] == [[5, 9, 7]]
     calls.clear()
     assert table.replay([7, 9, 5, 11, 11]) == (1, 4, False)
+    assert [c.tolist() for c in calls] == [[11]]
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_each_missed_key_reaches_find_or_insert_once_per_chunk(kind, width):
+    # with a lockstep step that always declines
+    table = make_table(kind, width, 100)
+    table._lockstep = lambda keys: None
+    calls = []
+    spy(table, "find_or_insert", calls)
+    assert table.replay([5, 9, 5, 5, 9, 7]) == (3, 3, False)
+    assert lead_words(calls) == [5, 9, 7]
+    calls.clear()
+    assert table.replay([7, 9, 5, 11, 11]) == (1, 4, False)
+    assert lead_words(calls) == [11]
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_a_declined_lockstep_leaves_the_table_untouched(kind, width):
+    # far more distinct keys than the table holds: no chunk can be placed whole
+    keys = random_block(3_000, 3_000, 5)
+    table = make_table(kind, width, 40)
+    table.replay(keys[:20])
+    words_before = table._view if kind == "cuckoo" else table._words.view
+    before = words_before.tobytes()
+    calls = []
+    spy(table, "_lockstep", calls)
+    assert table._lockstep(np.array(keys, dtype=np.int64)) is None
+    assert words_before.tobytes() == before
+    calls.clear()
+    expected = make_table(kind, width, 40)
+    per_key(expected, keys[:20])
+    reference = per_key(expected, keys)
+    assert table.replay(keys) == reference
     assert len(calls) == 1
+    assert contents(table) == contents(expected)
+
+
+def test_cuckoo_key_carried_by_a_chain_counts_as_found():
+    table = make_table("cuckoo", 1, 100)
+    table.replay(list(range(50)))
+    # 77 between two slots of a chain: held only in the in-flight registry
+    table._inflight[-1] = 77
+    assert table.replay([77, 100, 77]) == (1, 2, False)
+    assert 77 not in table._view
+    # the chain ends by writing it to its first vacant candidate slot; it is
+    # stored once
+    slots = [table.family.hash(i, 77, table.m) for i in range(4)]
+    table._view[next(s for s in slots if table._view[s] == EMPTY_WORD)] = 77
+    del table._inflight[-1]
+    assert table.replay([77]) == (0, 1, False)
+    assert np.count_nonzero(table._view == 77) == 1
+    assert table.stored_count() == 52
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_claimed_frame_makes_the_lockstep_decline(width):
+    table = make_table("bucket", width, 100)
+    key = 123
+    vector = (key,) + (0,) * (width - 1)
+    # the next frame of the key's first bucket, claimed by a writer that has
+    # not published yet
+    bucket = table.family.hash(0, fingerprint(vector), table.buckets)
+    heads = table._heads()
+    frame = int(np.flatnonzero(heads[bucket] == EMPTY_WORD)[0])
+    first = bucket * 32 + frame * width
+    words_ = table._words.words
+    words_[first] = CLAIMED_WORD
+    declined = []
+    lockstep = table._lockstep
+
+    def watched(keys):
+        result = lockstep(keys)
+        declined.append(result is None)
+        return result
+
+    table._lockstep = watched
+
+    def publish():
+        time.sleep(0.05)
+        for k in range(1, width):
+            words_[first + k] = 0
+        words_[first] = key
+
+    writer = threading.Thread(target=publish)
+    writer.start()
+    try:
+        assert table.replay([key, key]) == (0, 2, False)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert declined == [True]
+    assert table.stored_vectors() == {vector}
+    assert table.stored_count() == 1
 
 
 def test_empty_block():
@@ -184,33 +293,106 @@ def test_width_three_interior_words_checked():
 # -- concurrent replays of one block ---------------------------------------------
 
 
+def replay_in_threads(table, block, threads=4):
+    """Replay ``block`` from ``threads`` threads at once: their results."""
+    results = [None] * threads
+    barrier = threading.Barrier(threads)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        results[i] = table.replay(block)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(5e-6)
+    try:
+        workers = [
+            threading.Thread(target=work, args=(i,), name=f"replay-{i}")
+            for i in range(threads)
+        ]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    return results
+
+
+def assert_exactly_once(table, block, results):
+    distinct = set(block)
+    assert not any(full for _, _, full in results)
+    assert sum(ins for ins, _, _ in results) == len(distinct)
+    assert sum(ins + fnd for ins, fnd, _ in results) == len(results) * len(block)
+    assert table.stored_keys() == distinct
+    assert table.stored_count() == len(distinct)
+
+
 @pytest.mark.parametrize("chunk", [64, None])
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_four_threads_replay_the_same_block(kind, width, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
     block = random_block(6_000, 2_000, 11)
-    distinct = set(block)
-    table = make_table(kind, width, len(distinct))
-    results = [None] * 4
-    barrier = threading.Barrier(4)
+    table = make_table(kind, width, len(set(block)))
+    assert_exactly_once(table, block, replay_in_threads(table, block))
 
-    def work(i):
-        barrier.wait()
-        results[i] = table.replay(block)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(5e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(full for _, _, full in results)
-    assert sum(ins for ins, _, _ in results) == len(distinct)
-    assert sum(ins + fnd for ins, fnd, _ in results) == 4 * len(block)
-    assert table.stored_keys() == distinct
-    assert table.stored_count() == len(distinct)
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_lockstep_and_per_key_workers_share_a_table(kind, width, monkeypatch):
+    # two workers insert through the lockstep while two go key by key, so
+    # chain steps and frame claims interleave with lockstep steps
+    monkeypatch.setattr(words, "REPLAY_CHUNK", 64)
+    block = random_block(6_000, 2_000, 12)
+    table = make_table(kind, width, len(set(block)))
+    lockstep = table._lockstep
+    steps = []
+
+    def every_other_thread(keys):
+        if threading.current_thread().name.endswith(("-1", "-3")):
+            return None
+        steps.append(len(keys))
+        return lockstep(keys)
+
+    table._lockstep = every_other_thread
+    assert_exactly_once(table, block, replay_in_threads(table, block))
+    assert steps
+
+
+class CheckedView:
+    """A table's word view that runs ``check`` after every scatter into it."""
+
+    def __init__(self, view, check):
+        self.view, self.check = view, check
+
+    def __getattr__(self, name):
+        return getattr(self.view, name)
+
+    def __getitem__(self, index):
+        return self.view[index]
+
+    def __setitem__(self, index, value):
+        self.view[index] = value
+        self.check()
+
+
+def test_bucket_lockstep_writes_show_readers_only_whole_frames(monkeypatch):
+    # between any two writes of the lockstep each frame is empty, claimed,
+    # or published with the interior words that replay stores
+    monkeypatch.setattr(words, "REPLAY_CHUNK", 64)
+    block = random_block(2_000, 2_000, 13)
+    table = make_table("bucket", 3, len(set(block)))
+    view = table._words.view
+    span = table.frames_per_bucket * 3
+    writes = []
+
+    def check():
+        frames = view.reshape(-1, 32)[:, :span].reshape(-1, 3)
+        head, interior = frames[:, 0], frames[:, 1:]
+        assert not ((head == EMPTY_WORD) & (interior != EMPTY_WORD).any(axis=1)).any()
+        assert not ((head < CLAIMED_WORD) & (interior != 0).any(axis=1)).any()
+        writes.append(1)
+
+    table._words.view = CheckedView(view, check)
+    assert table.replay(block) == (len(set(block)), len(block) - len(set(block)), False)
+    assert len(writes) >= 3
