@@ -187,7 +187,7 @@ class BucketTable:
         occupied frames being a prefix of each bucket, and the rest move on
         to the next function.  A key left after the last function makes
         the step decline with the table untouched.  Frames are then claimed,
-        filled and published in three scatters, so readers only ever see
+        filled and published, one scatter each, so readers only ever see
         empty, claimed or complete frames.
         """
         table = self._words
