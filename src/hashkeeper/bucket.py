@@ -239,6 +239,11 @@ class BucketTable:
         """Mask of the uint64 ``keys`` whose padded vector is published.
 
         Reads :meth:`_heads`, a live view, while other threads may insert.
+        A key's probe ends at its first candidate bucket whose last frame is
+        empty: occupied frames are a prefix of a bucket, frames never empty
+        again, and both insert paths move a key on only from a full bucket.
+        A key stored since that read may be missed, which both callers of
+        the mask allow: they re-check a miss before inserting it.
         """
         width = self.width
         # fingerprint((k, 0, ..., 0)) is k times a constant, mod 2**32
@@ -253,14 +258,18 @@ class BucketTable:
         for a, b in self._pairs:
             bucket = ((fps * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
             # flatnonzero and divmod: a quarter of the time of a 2-D nonzero
-            flat = np.flatnonzero(heads.take(bucket, axis=0) == keys[:, None])
+            lead = heads.take(bucket, axis=0)
+            flat = np.flatnonzero(lead == keys[:, None])
             rows, cols = np.divmod(flat, frames)
             first = bucket[rows] * BUCKET_WORDS + cols * width
             tails = self._words.view[first[:, None] + interior]
-            seen = np.zeros(len(keys), dtype=bool)
-            seen[rows[~tails.any(axis=1)]] = True
+            seen = rows[~tails.any(axis=1)]
             stored[pending[seen]] = True
-            rest = ~seen
+            # a key went on past this bucket only if it is full
+            rest = lead[:, -1] != EMPTY_WORD
+            rest[seen] = False
+            if not rest.any():
+                break
             pending, fps, keys = pending[rest], fps[rest], keys[rest]
         return stored
 

@@ -66,18 +66,18 @@ class WordArray:
 def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, int, bool]:
     """Find-or-insert ``keys`` in order: ``(inserted, found, full)``.
 
-    ``stored`` is a table's pre-pass: it takes the keys of a chunk, as
-    uint64, and returns the mask of those it sees stored.  A key it sees is
-    stored for good, so it counts as found.  The first occurrence in the
-    chunk of every other key goes to ``lockstep`` in one int64 array, in
-    the order the chunk emits them; it inserts the chunk's misses at once
-    and returns how many it inserted, the rest having been stored by
-    others, or declines with ``None`` and leaves the table untouched.  Only
-    then do those keys go to ``find_or_insert`` one at a time.  A chunk
-    holding a key outside ``[0, max_key]``, or one that is no int, goes to
-    ``find_or_insert`` whole, which raises ``ValueError`` in the key's
-    place.  Replay stops at the first ``TABLE_FULL``, and ``found`` then
-    counts only the keys before it.
+    ``stored`` is a table's pre-pass: it takes the distinct keys of a
+    chunk, as uint64, and returns the mask of those it sees stored.  A key
+    it sees is stored for good, so all its occurrences count as found.  The
+    first occurrence in the chunk of every other key goes to ``lockstep`` in
+    one int64 array, in the order the chunk emits them; it inserts the
+    chunk's misses at once and returns how many it inserted, the rest
+    having been stored by others, or declines with ``None`` and leaves the
+    table untouched.  Only then do those keys go to ``find_or_insert`` one
+    at a time.  A chunk holding a key outside ``[0, max_key]``, or one that
+    is no int, goes to ``find_or_insert`` whole, which raises ``ValueError``
+    in the key's place.  Replay stops at the first ``TABLE_FULL``, and
+    ``found`` then counts only the keys before it.
     """
     inserted = 0
     for start in range(0, len(keys), REPLAY_CHUNK):
@@ -102,8 +102,10 @@ def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, i
 def _first_misses(chunk, max_key: int, stored):
     """The first occurrence of each key of ``chunk`` not seen stored, in order.
 
-    Returns an int64 array, or ``None`` when the chunk holds a key that is
-    no int or lies outside ``[0, max_key]``, a sentinel among them.
+    Duplicates go before the lookup: ``stored`` sees each distinct key of
+    the chunk once.  Returns an int64 array, or ``None`` when the chunk
+    holds a key that is no int or lies outside ``[0, max_key]``, a sentinel
+    among them.
     """
     try:
         codes = np.frombuffer(array("q", chunk), dtype=np.int64)
@@ -111,9 +113,12 @@ def _first_misses(chunk, max_key: int, stored):
         return None
     if codes.min() < 0 or codes.max() > max_key:
         return None
-    miss = np.flatnonzero(~stored(codes.astype(np.uint64)))
-    order = np.argsort(codes[miss], kind="stable")
-    ranked = codes[miss[order]]
-    first = np.ones(len(ranked), dtype=bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    return codes[np.sort(miss[order[first]])]
+    # each key packed above its position, which fits in int64 as keys are
+    # below 2**32: one sort groups a key's occurrences, the first leading
+    bits = len(codes).bit_length()
+    packed = np.sort(codes << bits | np.arange(len(codes)))
+    keys = packed >> bits
+    first = np.ones(len(packed), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    miss = ~stored(keys[first].astype(np.uint64))
+    return codes[np.sort(packed[first][miss] & ((1 << bits) - 1))]

@@ -63,12 +63,23 @@ def chunk_seam():
     return list(range(1, n)) + [0, 0] + list(range(1, 50))
 
 
+def top_of_range(top):
+    # the largest storable keys, with repeats, over a full chunk and a part
+    return [top] + [top - k for k in random_block(20_000, 3_000, 3)]
+
+
+def top_key(kind):
+    return MAX_KEY if kind == "cuckoo" else MAX_LEAD_WORD
+
+
+# each block is made from the largest key the table stores
 BLOCKS = {
-    "random-d1": lambda: random_block(3_000, 3_000, 1),
-    "random-d10": lambda: random_block(5_000, 500, 2),
-    "bfs-ring": ring_trace,
-    "dup-in-chunk": lambda: [5, 9, 5, 5, 7, 9, 12, 7, 5, 12, 3],
-    "chunk-seam": chunk_seam,
+    "random-d1": lambda top: random_block(3_000, 3_000, 1),
+    "random-d10": lambda top: random_block(5_000, 500, 2),
+    "bfs-ring": lambda top: ring_trace(),
+    "dup-in-chunk": lambda top: [5, 9, 5, 5, 7, 9, 12, 7, 5, 12, 3],
+    "chunk-seam": lambda top: chunk_seam(),
+    "top-of-range": top_of_range,
 }
 
 
@@ -78,7 +89,7 @@ BLOCKS = {
 def test_replay_matches_per_key_loop(kind, width, block, chunk, monkeypatch):
     if chunk == "one":
         monkeypatch.setattr(words, "REPLAY_CHUNK", 1)
-    keys = BLOCKS[block]()
+    keys = BLOCKS[block](top_key(kind))
     unique = len(set(keys))
     expected = make_table(kind, width, unique)
     reference = per_key(expected, keys)
@@ -133,6 +144,41 @@ def test_each_missed_key_reaches_the_lockstep_once_per_chunk(kind, width):
     calls.clear()
     assert table.replay([7, 9, 5, 11, 11]) == (1, 4, False)
     assert [c.tolist() for c in calls] == [[11]]
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_the_pre_pass_sees_each_distinct_key_of_a_chunk_once(kind, width, monkeypatch):
+    chunk = 256
+    monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
+    block = BLOCKS["random-d10"](top_key(kind))
+    # room to spare: a full table would end the replay early
+    expected = 2 * len(set(block))
+    table = make_table(kind, width, expected)
+    stored, lockstep = table._stored, table._lockstep
+    looked_up = []  # the keys of each pre-pass, not of a lockstep's re-check
+    stepping = []
+
+    def watched_stored(keys):
+        if not stepping:
+            looked_up.append(keys.tolist())
+        return stored(keys)
+
+    def watched_lockstep(keys):
+        stepping.append(True)
+        try:
+            return lockstep(keys)
+        finally:
+            stepping.pop()
+
+    table._stored, table._lockstep = watched_stored, watched_lockstep
+    reference = per_key(make_table(kind, width, expected), block)
+    assert not reference[2]
+    assert table.replay(block) == reference
+    chunks = [block[i : i + chunk] for i in range(0, len(block), chunk)]
+    assert len(looked_up) == len(chunks)
+    for keys, keys_of_chunk in zip(looked_up, chunks):
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(keys_of_chunk)
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
@@ -231,6 +277,104 @@ def test_bucket_claimed_frame_makes_the_lockstep_decline(width):
     assert table.stored_count() == 1
 
 
+# -- the bucket pre-pass stops at a key's first non-full bucket ------------------
+
+
+def reached_through(table):
+    """For each published vector's lead word, the function its frame came by.
+
+    The smallest function that maps the vector to the frame's bucket.
+    """
+    functions = {}
+    for first, vector in table.frame_map().items():
+        fp = fingerprint(vector)
+        buckets = [table.family.hash(i, fp, table.buckets) for i in range(4)]
+        functions[vector[0]] = buckets.index(first // 32)
+    return functions
+
+
+class Declined(Exception):
+    pass
+
+
+def fill_until_spill(table, fill, keys):
+    """Insert ``keys`` until some went in through each function, or one fails.
+
+    ``per-key`` inserts by ``find_or_insert``; ``lockstep`` replays chunks of
+    8 keys and stops, with the table untouched, at the first declined step,
+    so every frame is placed by the lockstep.
+    """
+    pad = (0,) * (table.width - 1)
+    lockstep = table._lockstep
+
+    def placed_whole(chunk):
+        placed = lockstep(chunk)
+        if placed is None:
+            raise Declined
+        return placed
+
+    table._lockstep = placed_whole
+    try:
+        for i in range(0, len(keys), 8):
+            if fill == "per-key":
+                for key in keys[i : i + 8]:
+                    if table.find_or_insert((key,) + pad).tag not in (INSERTED, FOUND):
+                        return
+            else:
+                table.replay(keys[i : i + 8])
+            if len(set(reached_through(table).values())) == 4:
+                return
+    except Declined:
+        return
+    finally:
+        del table._lockstep
+
+
+@pytest.mark.parametrize("fill", ["per-key", "lockstep"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_pre_pass_stops_at_the_first_non_full_bucket(width, fill):
+    table = make_table("bucket", width, 400, seed=1)
+    keys = random_block(table.capacity, 10**6, 7)
+    fill_until_spill(table, fill, keys)
+    functions = reached_through(table)
+    assert set(functions.values()) == {0, 1, 2, 3}
+    heads = table._heads()
+    full = heads[:, -1] != EMPTY_WORD
+    pad = (0,) * (width - 1)
+
+    def buckets(key):
+        fp = fingerprint((key,) + pad)
+        return [table.family.hash(i, fp, table.buckets) for i in range(4)]
+
+    # the stop relies on it: a frame reached through function j leaves
+    # full buckets behind it at functions 0 .. j-1
+    for key, j in functions.items():
+        assert all(full[b] for b in buckets(key)[:j]), key
+    absent = [k for k in range(10**6, 10**6 + 3_000) if k not in functions]
+    behind_full = [k for k in absent if full[buckets(k)[0]]]
+    behind_open = [k for k in absent if not full[buckets(k)[0]]]
+    assert behind_full and behind_open
+    for group in (sorted(functions), behind_full, behind_open):
+        mask = table._stored(np.array(group, dtype=np.uint64))
+        assert mask.tolist() == [table.contains((k,) + pad) for k in group]
+    # a copy past a bucket with an open frame is one the protocol never
+    # writes, and the probe never reads it, even behind an occupied frame 0
+    planted = [
+        k for k in behind_open
+        if heads[buckets(k)[0], 0] != EMPTY_WORD and not full[buckets(k)[1]]
+        and buckets(k)[1] != buckets(k)[0]
+    ][:5]
+    assert planted
+    view = table._words.view
+    for key in planted:
+        bucket = buckets(key)[1]
+        first = bucket * 32 + int(np.flatnonzero(heads[bucket] == EMPTY_WORD)[0]) * width
+        view[first + 1 : first + width] = 0
+        view[first] = key
+        assert table.contains((key,) + pad)
+    assert not table._stored(np.array(planted, dtype=np.uint64)).any()
+
+
 def test_empty_block():
     for kind, width in TABLES:
         assert make_table(kind, width, 10).replay([]) == (0, 0, False)
@@ -240,7 +384,7 @@ def test_empty_block():
 
 
 def bad_keys(kind):
-    top = MAX_KEY if kind == "cuckoo" else MAX_LEAD_WORD
+    top = top_key(kind)
     return [top + 1, EMPTY_WORD, -1, -(2**63) - 1, 2**63, 2**64, 2**32]
 
 
