@@ -9,7 +9,9 @@ eviction: a vector that finds all frames of all its candidate buckets taken
 means the table is full.  :meth:`BucketTable.replay` looks up whole chunks
 of keys at once through a numpy view of the words, and inserts their misses
 in one lockstep step under every stripe lock, falling back to the per-key
-protocol when the step cannot place the whole chunk.
+protocol when the step cannot place the whole chunk.  The pre-pass and the
+step walk a key's buckets function by function in the same way, and leave a
+bucket only when it is full.
 """
 
 import math
@@ -177,18 +179,26 @@ class BucketTable:
     def _lockstep(self, keys):
         """Insert ``(k, 0, ..., 0)`` for the distinct int64 ``keys``; None declines.
 
-        Holds every stripe lock, so no frame can be claimed meanwhile.  A
-        frame already claimed in a candidate bucket may be publishing one
-        of the keys, so the step declines rather than wait for it.  Keys
-        published since the pre-pass are dropped.  The rest are placed as
-        GPUexplore places a warp's vectors in a bucket (Wijs and Bosnacki,
-        2014): grouped by their function-0 bucket in emission order, the
-        first ``free`` keys of a group take the bucket's next empty frames,
-        occupied frames being a prefix of each bucket, and the rest move on
-        to the next function.  A key left after the last function makes
+        Holds every stripe lock, so no frame can be claimed meanwhile, and
+        walks the functions in turn as :meth:`_stored` does, hashing at each
+        only the keys still pending.  A frame already claimed in a bucket
+        one of them reaches may be publishing one of the keys, so the step
+        declines rather than wait for it.  Keys published there since the
+        pre-pass are dropped.  The rest are placed as GPUexplore places a
+        warp's vectors in a bucket (Wijs and Bosnacki, 2014): grouped by
+        bucket in emission order, the first ``free`` keys of a group take
+        the bucket's next empty frames, occupied frames being a prefix of
+        each bucket, and the rest move on to the next function, so a key
+        leaves only a full bucket.  A key left after the last function makes
         the step decline with the table untouched.  Frames are then claimed,
         filled and published, one scatter each, so readers only ever see
         empty, claimed or complete frames.
+
+        Claims need only be read in the buckets the walk reaches: a per-key
+        writer claims a frame in a key's j-th bucket only after finding
+        buckets 0 .. j-1 fully published, frames never empty again, and the
+        walk leaves a bucket only when it is full, so it reaches that claim
+        before it could place the key.
         """
         table = self._words
         for lock in table._locks:
@@ -196,26 +206,24 @@ class BucketTable:
         try:
             keys = keys.astype(np.uint64)
             fps = keys * self._pad_mult & 0xFFFFFFFF
-            nbuckets = self.buckets
-            buckets = np.stack(
-                [((fps * a + b) % MOD_PRIME % nbuckets).astype(np.intp) for a, b in self._pairs]
-            )
+            keys = keys.astype(np.uint32)
             heads = self._heads()
-            if (heads[buckets.ravel()] == CLAIMED_WORD).any():
-                return None
-            absent = ~self._stored(keys)
-            keys, buckets = keys[absent], buckets[:, absent]
-            if not len(keys):
-                return 0
             per = self.frames_per_bucket
-            taken = np.zeros(nbuckets, dtype=np.intp)
-            first = np.empty(len(keys), dtype=np.intp)  # word 0 of each key's frame
+            taken = np.zeros(self.buckets, dtype=np.intp)
+            first = np.full(len(keys), -1, dtype=np.intp)  # word 0 of each key's frame
             pending = np.arange(len(keys))
-            for row in buckets:
-                pending = pending[np.argsort(row[pending], kind="stable")]
-                bucket = row[pending]
+            for a, b in self._pairs:
+                bucket = ((fps[pending] * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
+                lead = heads.take(bucket, axis=0)
+                if (lead == CLAIMED_WORD).any():
+                    return None
+                rest = np.ones(len(pending), dtype=bool)
+                rest[self._published_in(lead, bucket, keys[pending])] = False
+                rest = np.flatnonzero(rest)
+                rest = rest[np.argsort(bucket[rest], kind="stable")]
+                pending, bucket = pending[rest], bucket[rest]
                 rank = np.arange(len(bucket)) - np.searchsorted(bucket, bucket)
-                empty = np.count_nonzero(heads[bucket] == EMPTY_WORD, axis=1)
+                empty = np.count_nonzero(lead == EMPTY_WORD, axis=1)[rest]
                 frame = per - empty + taken[bucket] + rank
                 fits = frame < per
                 first[pending[fits]] = bucket[fits] * BUCKET_WORDS + frame[fits] * self.width
@@ -225,6 +233,8 @@ class BucketTable:
                     break
             else:
                 return None
+            placed = first >= 0
+            first, keys = first[placed], keys[placed]
             view = table.view
             if self.width > 1:
                 view[first] = CLAIMED_WORD
@@ -242,28 +252,20 @@ class BucketTable:
         A key's probe ends at its first candidate bucket whose last frame is
         empty: occupied frames are a prefix of a bucket, frames never empty
         again, and both insert paths move a key on only from a full bucket.
-        A key stored since that read may be missed, which both callers of
-        the mask allow: they re-check a miss before inserting it.
+        A key stored since that read may be missed, which the pre-pass
+        allows: the lockstep walk and ``find_or_insert`` re-check a miss
+        before inserting it.
         """
-        width = self.width
         # fingerprint((k, 0, ..., 0)) is k times a constant, mod 2**32
         fps = keys * self._pad_mult & 0xFFFFFFFF
         keys = keys.astype(np.uint32)
         heads = self._heads()
-        frames = heads.shape[1]
-        # word 0 alone does not tell (k, 0, ...) from (k, 5, ...)
-        interior = np.arange(1, width)
         stored = np.zeros(len(keys), dtype=bool)
         pending = np.arange(len(keys))
         for a, b in self._pairs:
             bucket = ((fps * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
-            # flatnonzero and divmod: a quarter of the time of a 2-D nonzero
             lead = heads.take(bucket, axis=0)
-            flat = np.flatnonzero(lead == keys[:, None])
-            rows, cols = np.divmod(flat, frames)
-            first = bucket[rows] * BUCKET_WORDS + cols * width
-            tails = self._words.view[first[:, None] + interior]
-            seen = rows[~tails.any(axis=1)]
+            seen = self._published_in(lead, bucket, keys)
             stored[pending[seen]] = True
             # a key went on past this bucket only if it is full
             rest = lead[:, -1] != EMPTY_WORD
@@ -272,6 +274,19 @@ class BucketTable:
                 break
             pending, fps, keys = pending[rest], fps[rest], keys[rest]
         return stored
+
+    def _published_in(self, lead, bucket, keys):
+        """Rows of ``lead`` with a frame reading ``(k, 0, ..., 0)`` for the row's key.
+
+        ``lead`` holds the frame heads of each key's ``bucket``; ``keys`` are uint32.
+        """
+        # flatnonzero and divmod: a quarter of the time of a 2-D nonzero
+        flat = np.flatnonzero(lead == keys[:, None])
+        rows, cols = np.divmod(flat, lead.shape[1])
+        first = bucket[rows] * BUCKET_WORDS + cols * self.width
+        # word 0 alone does not tell (k, 0, ...) from (k, 5, ...)
+        tails = self._words.view[first[:, None] + np.arange(1, self.width)]
+        return rows[~tails.any(axis=1)]
 
     def _heads(self) -> np.ndarray:
         """Word 0 of every frame, one row per bucket: a live view, not a copy."""

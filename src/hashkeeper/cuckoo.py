@@ -1,10 +1,11 @@
 """Concurrent cuckoo hash set over 32-bit keys, safe for duplicate inserts.
 
 Collisions are resolved by displacing the resident key and reinserting it at
-the slot given by its next hash function, up to a bounded chain length.
-Keys whose chains hit the bound go to a small stash; when even the stash is
-full the table reports itself full and must be rebuilt with fresh hash
-constants.
+the slot given by its next hash function, up to a bounded chain length: a
+per-key insert is one loop of locked steps, each writing the key it carries
+and taking out the victim.  Keys whose chains hit the bound go to a small
+stash; when even the stash is full the table reports itself full and must
+be rebuilt with fresh hash constants.
 
 Any number of workers may call :meth:`CuckooTable.find_or_insert` and
 :meth:`CuckooTable.contains` concurrently.  Lookups are optimistic and take
@@ -159,7 +160,7 @@ class CuckooTable:
         its current function's slot and the last writer wins.  A key
         overwritten in the same round moves on to its next function, and a
         displaced resident to the function after the smallest one that maps
-        it to that slot, as in :meth:`_run_chain`, so slots only go empty ->
+        it to that slot, as in :meth:`_try_place`, so slots only go empty ->
         occupied along each key's functions.  If every key is placed within
         ``max_evictions`` rounds, the written slots are published under one
         version bump and the count of inserted keys is returned.  Otherwise
@@ -282,11 +283,17 @@ class CuckooTable:
             time.sleep(0)
 
     def _try_place(self, key: int, slot: int, expected_version: int):
-        """Place ``key`` at its first slot; None means the table moved on.
+        """Place ``key`` at ``slot``, carrying victims on; None means the table moved on.
 
-        The caller's validated miss is only acted on if the version is still
-        ``expected_version`` once the relocation lock is held, which pins
-        "key absent" and "key written" together into one atomic step.
+        Each step writes the carried key under the relocation lock and takes
+        out the victim, which the in-flight registry keeps visible until the
+        next step places it.  The caller's validated miss is only acted on if
+        the version is still ``expected_version`` once the lock is held for
+        the first step, which pins "key absent" and "key written" together
+        into one atomic step.  A victim moves on via the function after the
+        smallest one that maps it to its slot, until a free slot takes it,
+        the chain bound sends it to the stash, or a slot already holding it
+        collapses a concurrent duplicate.
         """
         if self._version != expected_version:
             return None
@@ -294,82 +301,45 @@ class CuckooTable:
         inflight = self._inflight
         lock = self._write_lock
         tid = threading.get_ident()
+        carried = key
+        evictions = 0
         try:
-            if not lock.acquire(False):
-                self._acquire_write_lock()
-            try:
-                if self._version != expected_version:
-                    return None
-                self._version = expected_version + 1
-                victim = slots[slot]
-                if victim != EMPTY_WORD:
-                    inflight[tid] = victim
-                slots[slot] = key
-                self._version = expected_version + 2
-            finally:
-                lock.release()
-            if victim == EMPTY_WORD:
-                return _INSERTED_CLEAN
-            if victim == key:
-                # Unreachable given the freshness check; kept as a guard for
-                # the concurrent-duplicate exchange semantics.
-                return _FOUND
-            return self._run_chain(key, victim, slot, tid)
+            while True:
+                if not lock.acquire(False):
+                    self._acquire_write_lock()
+                try:
+                    version = self._version
+                    if version != expected_version and not evictions:
+                        return None
+                    self._version = version + 1
+                    victim = slots[slot]
+                    if victim != carried:
+                        if victim != EMPTY_WORD:
+                            inflight[tid] = victim
+                        slots[slot] = carried
+                    self._version = version + 2
+                finally:
+                    lock.release()
+                if victim == EMPTY_WORD:
+                    return InsertOutcome(INSERTED, evictions) if evictions else _INSERTED_CLEAN
+                if victim == carried:
+                    # A concurrent insertion of the same element: the
+                    # resident copy stays, the carried one is dropped.
+                    return _FOUND if carried == key else InsertOutcome(INSERTED, evictions)
+                carried = victim
+                evictions += 1
+                if evictions >= self.max_evictions:
+                    return self._stash_put(carried, evictions)
+                m = self.m
+                for (a, b), nxt in self._steps:
+                    if ((a * carried + b) % MOD_PRIME) % m == slot:
+                        break
+                else:
+                    nxt = self._pairs[0]
+                a, b = nxt
+                slot = ((a * carried + b) % MOD_PRIME) % m
         finally:
             inflight.pop(tid, None)
-
-    def _run_chain(self, key, carried, slot, tid) -> InsertOutcome:
-        # ``carried`` was just displaced from ``slot`` and is covered by the
-        # in-flight registry; walk it along its next functions until a free
-        # slot takes it, the chain bound sends it to the stash, or a
-        # concurrent duplicate collapses the chain.
-        slots = self._slots
-        pairs = self._pairs
-        steps = self._steps
-        m = self.m
-        bound = self.max_evictions
-        inflight = self._inflight
-        lock = self._write_lock
-        evictions = 1
-        while True:
-            if evictions >= bound:
-                return self._stash_put(carried, evictions)
-            # The displaced key moves on via the function after the one that
-            # put it here; ties resolve to the smallest matching function.
-            for (a, b), nxt in steps:
-                if ((a * carried + b) % MOD_PRIME) % m == slot:
-                    break
-            else:
-                nxt = pairs[0]
-            a, b = nxt
-            slot = ((a * carried + b) % MOD_PRIME) % m
-            if not lock.acquire(False):
-                self._acquire_write_lock()
-            try:
-                version = self._version
-                self._version = version + 1
-                victim = slots[slot]
-                if victim == carried:
-                    # The slot already holds a copy of the exact key being
-                    # written: a concurrent insertion of the same element.
-                    # The resident copy stays, the carried one is dropped.
-                    dropped = True
-                else:
-                    dropped = False
-                    if victim != EMPTY_WORD:
-                        inflight[tid] = victim
-                    slots[slot] = carried
-                self._version = version + 2
-            finally:
-                lock.release()
-            if dropped:
-                if carried == key:
-                    return _FOUND
-                return InsertOutcome(INSERTED, evictions)
-            if victim == EMPTY_WORD:
-                return InsertOutcome(INSERTED, evictions)
-            carried = victim
-            evictions += 1
 
     def _stash_put(self, carried: int, evictions: int) -> InsertOutcome:
         stash = self._stash

@@ -361,7 +361,10 @@ def read_trace(path) -> Trace:
         magic = f.read(8)
         if magic != TRACE_MAGIC:
             raise ValueError(f"{path}: not a trace file (bad magic {magic!r})")
-        (length,) = struct.unpack("<Q", f.read(8))
+        try:
+            (length,) = struct.unpack("<Q", f.read(8))
+        except struct.error:
+            raise ValueError(f"{path}: truncated trace (cut inside its length field)") from None
         payload = f.read(4 * length)
     if len(payload) != 4 * length:
         raise ValueError(f"{path}: truncated trace (expected {length} codes)")

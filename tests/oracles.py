@@ -5,6 +5,7 @@ import math
 from collections import deque
 
 from hashkeeper.trace import Automaton, Model
+from hashkeeper.words import EMPTY_WORD, FOUND, INSERTED, TABLE_FULL
 
 
 def expected_multiplicity(length, duplication):
@@ -141,3 +142,43 @@ def random_model(rng, max_states=10_000):
             )
         processes.append(Automaton(f"p{p}", size, rng.randrange(size), transitions))
     return Model(processes)
+
+
+class SequentialCuckoo:
+    """Plain single-threaded cuckoo table: the reference for ``CuckooTable``.
+
+    A new key goes to its function-0 slot.  A displaced key moves to the
+    function after the smallest one that maps it to the slot it lost,
+    wrapping round, until a free slot takes it; after ``max_evictions``
+    displacements it goes to the stash instead, and a key past a full stash
+    is kept beyond it and reported ``table_full``.
+    """
+
+    def __init__(self, family, m, max_evictions, stash_size):
+        self.family = family
+        self.m = m
+        self.max_evictions = max_evictions
+        self.stash_size = stash_size
+        self.slots = [EMPTY_WORD] * m
+        self.stash = []
+
+    def slot(self, i, key):
+        return self.family.hash(i, key, self.m)
+
+    def find_or_insert(self, key):
+        """``(tag, evictions)`` of one find-or-insert."""
+        count = self.family.count
+        if key in self.stash or key in [self.slots[self.slot(i, key)] for i in range(count)]:
+            return FOUND, 0
+        carried, slot, evictions = key, self.slot(0, key), 0
+        while True:
+            carried, self.slots[slot] = self.slots[slot], carried
+            if carried == EMPTY_WORD:
+                return INSERTED, evictions
+            evictions += 1
+            if evictions >= self.max_evictions:
+                self.stash.append(carried)
+                full = len(self.stash) > self.stash_size
+                return (TABLE_FULL if full else INSERTED), evictions
+            smallest = next(i for i in range(count) if self.slot(i, carried) == slot)
+            slot = self.slot((smallest + 1) % count, carried)

@@ -14,6 +14,7 @@ from hashkeeper.cuckoo import (
 )
 from hashkeeper.hashing import HashFamily
 from hashkeeper.words import EMPTY_WORD
+from oracles import SequentialCuckoo
 
 
 def make_table(expected=100, seed=0, **kw):
@@ -228,6 +229,25 @@ class TestStash:
             assert t.stored_keys() == inserted, seed
             assert all(t.contains(k) for k in inserted), seed
             assert t.rebuild(1234).stored_keys() == inserted, seed
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sequential_fill_matches_the_reference(self, seed, count):
+        # near the load threshold, with repeats: chains up to the bound,
+        # the stash, then table_full
+        t = make_table(200, seed=seed, count=count, stash_size=3, scale=1.05)
+        ref = SequentialCuckoo(t.family, t.m, t.max_evictions, t.stash_size)
+        rng = random.Random(seed)
+        outcomes = []
+        while not outcomes or outcomes[-1][0] != TABLE_FULL:
+            key = rng.randrange(0, 2 * t.m)
+            out = t.find_or_insert(key)
+            outcomes.append((out.tag, out.evictions))
+            assert outcomes[-1] == ref.find_or_insert(key), len(outcomes)
+        assert {tag for tag, _ in outcomes} == {INSERTED, FOUND, TABLE_FULL}
+        assert max(evictions for _, evictions in outcomes) == t.max_evictions
+        assert t._view.tolist() == ref.slots
+        assert t._stash == ref.stash
 
 
 class TestRebuild:

@@ -236,6 +236,12 @@ def test_cuckoo_key_carried_by_a_chain_counts_as_found():
     assert table.stored_count() == 52
 
 
+def candidate_buckets(table, key):
+    """The bucket of ``(key, 0, ..., 0)`` under each of the four functions."""
+    fp = fingerprint((key,) + (0,) * (table.width - 1))
+    return [table.family.hash(i, fp, table.buckets) for i in range(4)]
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_bucket_claimed_frame_makes_the_lockstep_decline(width):
     table = make_table("bucket", width, 100)
@@ -275,6 +281,42 @@ def test_bucket_claimed_frame_makes_the_lockstep_decline(width):
     assert declined == [True]
     assert table.stored_vectors() == {vector}
     assert table.stored_count() == 1
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_claim_no_pending_key_reaches_lets_the_lockstep_place(width):
+    table = make_table("bucket", width, 100)
+    key, first, last = next(
+        (k, b[0], b[3]) for k in range(100) if (b := candidate_buckets(table, k))[0] != b[3]
+    )
+    # a claim in the key's function-3 bucket, while its function-0 bucket
+    # has room: the walk places the key at function 0 and never reaches it
+    table._words.words[last * 32] = CLAIMED_WORD
+    assert table._lockstep(np.array([key], dtype=np.int64)) == 1
+    assert table.stored_vectors() == {(key,) + (0,) * (width - 1)}
+    assert [f // 32 for f in table.frame_map()] == [first]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_lockstep_drops_a_key_published_past_its_first_bucket(width):
+    table = make_table("bucket", width, 100)
+    pad = (0,) * (width - 1)
+    key, first = next(
+        (k, b[0]) for k in range(100) if (b := candidate_buckets(table, k))[0] != b[1]
+    )
+    heads = table._heads()
+    for other in range(10**6, 10**7):
+        if heads[first, -1] != EMPTY_WORD:
+            break
+        if candidate_buckets(table, other)[0] == first:
+            assert table.find_or_insert((other,) + pad).tag is INSERTED
+    # published through function 1 after the pre-pass missed it
+    outcome = table.find_or_insert((key,) + pad)
+    assert (outcome.tag, outcome.buckets_probed) == (INSERTED, 2)
+    view = table._words.view
+    before = view.tobytes()
+    assert table._lockstep(np.array([key], dtype=np.int64)) == 0
+    assert view.tobytes() == before
 
 
 # -- the bucket pre-pass stops at a key's first non-full bucket ------------------
@@ -343,8 +385,7 @@ def test_bucket_pre_pass_stops_at_the_first_non_full_bucket(width, fill):
     pad = (0,) * (width - 1)
 
     def buckets(key):
-        fp = fingerprint((key,) + pad)
-        return [table.family.hash(i, fp, table.buckets) for i in range(4)]
+        return candidate_buckets(table, key)
 
     # the stop relies on it: a frame reached through function j leaves
     # full buckets behind it at functions 0 .. j-1

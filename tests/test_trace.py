@@ -298,6 +298,8 @@ class TestTraceFiles:
         path = tmp_path / "short.trace"
         write_trace(path, [1, 2, 3, 4])
         data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(ValueError, match="truncated"):
-            read_trace(path)
+        # cut inside the payload, and inside the 8-byte length field
+        for cut in (data[:-4], data[:10]):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match="truncated"):
+                read_trace(path)
