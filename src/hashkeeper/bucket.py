@@ -6,10 +6,10 @@ frames of ``width`` words each.  A bucket is read as one contiguous snapshot
 is taken by compare-exchanging its first word from empty to a claim marker,
 writing the interior words, then publishing word 0 last.  There is no
 eviction: a vector that finds all frames of all its candidate buckets taken
-means the table is full.  :meth:`BucketTable.replay` looks up whole chunks
-of keys at once through a numpy view of the words, and inserts their misses
-in one lockstep step under every stripe lock, falling back to the per-key
-protocol when the step cannot place the whole chunk.  The pre-pass and the
+means the table is full.  :meth:`BucketTable.replay` looks up a block's
+distinct keys a chunk at a time through a numpy view of the words, and
+inserts their misses in one lockstep step under every stripe lock, falling
+back to the per-key protocol when the step cannot place the whole chunk.  The pre-pass and the
 step walk a key's buckets function by function in the same way, and leave a
 bucket only when it is full.
 """
@@ -158,13 +158,14 @@ class BucketTable:
     def replay(self, keys) -> tuple[int, int, bool]:
         """Find-or-insert ``(k, 0, ..., 0)`` for each ``k`` of ``keys`` in order.
 
-        Returns ``(inserted, found, full)``.  A numpy pre-pass over each
-        chunk counts a key as found when one of its candidate buckets holds
+        Returns ``(inserted, found, full)``.  Each key's first occurrence
+        in ``keys`` reaches the table, and a numpy pre-pass over a chunk of
+        them counts a key as found when one of its candidate buckets holds
         a frame reading ``(k, 0, ..., 0)``: word 0 is written once, when the
         frame is published, and interior words not yet written read
-        ``EMPTY_WORD``.  :meth:`_lockstep` inserts the first occurrence of
-        every other key, the whole chunk at once; when it declines, they go
-        through :meth:`find_or_insert` one by one.
+        ``EMPTY_WORD``.  :meth:`_lockstep` inserts the chunk's other keys at
+        once; when it declines, they go through :meth:`find_or_insert` one
+        by one.
         """
         pad = (0,) * (self.width - 1)
         find_or_insert = self.find_or_insert

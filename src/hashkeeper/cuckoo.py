@@ -15,10 +15,10 @@ stay visible through an in-flight registry.  Relocations serialize on one
 lock, which is what makes "insert each distinct key exactly once" hold even
 when eviction chains and duplicate inserts interleave.  Rebuilds require
 external quiescence.  The slots are an ``array('I')`` of 32-bit words with a
-numpy view, through which :meth:`CuckooTable.replay` looks up whole chunks
-of keys at once and inserts their misses in lockstep rounds under the
-relocation lock, falling back to the per-key protocol when the rounds
-cannot place the whole chunk.
+numpy view, through which :meth:`CuckooTable.replay` looks up a block's
+distinct keys a chunk at a time and inserts their misses in lockstep rounds
+under the relocation lock, falling back to the per-key protocol when the
+rounds cannot place the whole chunk.
 """
 
 import math
@@ -132,11 +132,12 @@ class CuckooTable:
     def replay(self, keys) -> tuple[int, int, bool]:
         """Find-or-insert every key of ``keys`` in order: ``(inserted, found, full)``.
 
-        A numpy pre-pass over each chunk counts the keys it sees in one of
-        their candidate slots as found: keys never leave the table, so a
+        Each key's first occurrence in ``keys`` reaches the table, and a
+        numpy pre-pass over a chunk of them counts the keys it sees in one
+        of their candidate slots as found: keys never leave the table, so a
         slot holding ``k`` means ``k`` is stored.  :meth:`_lockstep` inserts
-        the first occurrence of every other key, the whole chunk at once;
-        when it declines, they go through :meth:`find_or_insert` one by one.
+        the chunk's other keys at once; when it declines, they go through
+        :meth:`find_or_insert` one by one.
         """
         return replay(keys, MAX_KEY, self._stored, self.find_or_insert, self._lockstep)
 

@@ -1,9 +1,9 @@
 """Shared plumbing for tables built from arrays of 32-bit words.
 
-The word storage with its compare-exchange, and ``replay``, the chunked
-find-or-insert of a whole key sequence that both tables run: a numpy
-pre-pass finds a chunk's stored keys, the table's lockstep step inserts the
-rest at once, and the per-key protocol takes over only where it declines.
+The word storage with its compare-exchange, and ``replay``, which both
+tables run: one sort finds a block's distinct keys, a numpy pre-pass those
+stored, the lockstep step inserts the rest a chunk at a time, and the
+per-key protocol takes over only where it declines.
 """
 
 import threading
@@ -22,8 +22,7 @@ INSERTED = "inserted"
 FOUND = "found"
 TABLE_FULL = "table_full"
 
-# Keys per pre-pass of ``replay``: each chunk is converted, hashed and
-# gathered as a few arrays of this length.
+# Distinct keys per pre-pass and lockstep step of ``replay``.
 REPLAY_CHUNK = 1 << 14
 
 _STRIPES = 64  # power of two
@@ -66,59 +65,60 @@ class WordArray:
 def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, int, bool]:
     """Find-or-insert ``keys`` in order: ``(inserted, found, full)``.
 
-    ``stored`` is a table's pre-pass: it takes the distinct keys of a
-    chunk, as uint64, and returns the mask of those it sees stored.  A key
-    it sees is stored for good, so all its occurrences count as found.  The
-    first occurrence in the chunk of every other key goes to ``lockstep`` in
-    one int64 array, in the order the chunk emits them; it inserts the
-    chunk's misses at once and returns how many it inserted, the rest
-    having been stored by others, or declines with ``None`` and leaves the
-    table untouched.  Only then do those keys go to ``find_or_insert`` one
-    at a time.  A chunk holding a key outside ``[0, max_key]``, or one that
-    is no int, goes to ``find_or_insert`` whole, which raises ``ValueError``
-    in the key's place.  Replay stops at the first ``TABLE_FULL``, and
-    ``found`` then counts only the keys before it.
+    Only each key's first occurrence reaches the table, in block order: keys
+    never leave it, so every later one counts as found.  ``stored``, a
+    table's pre-pass, masks the uint64 keys of a chunk it sees stored;
+    ``lockstep`` inserts the rest (int64) at once and returns how many it
+    inserted, or declines with ``None`` and writes nothing.  Only then do
+    they go to ``find_or_insert`` one by one, as a whole block does when a
+    key is no int or outside ``[0, max_key]``: ``ValueError`` rises in its
+    place.  Replay stops at the first ``TABLE_FULL``, a key's first occurrence.
     """
     inserted = 0
-    for start in range(0, len(keys), REPLAY_CHUNK):
-        chunk = keys[start : start + REPLAY_CHUNK]
-        misses = _first_misses(chunk, max_key, stored)
-        if misses is not None:
-            placed = lockstep(misses) if len(misses) else 0
-            if placed is not None:
-                inserted += placed
-                continue
-            misses = misses.tolist()
-        for key in chunk if misses is None else misses:
+    for placed, declined in _steps(keys, max_key, stored, lockstep):
+        inserted += placed
+        for position, key in declined:
             tag = find_or_insert(key).tag
             if tag is INSERTED:
                 inserted += 1
             elif tag is not FOUND:
-                # every earlier occurrence of a full key missed too
-                return inserted, start + chunk.index(key) - inserted, True
+                return inserted, position - inserted, True
     return inserted, len(keys) - inserted, False
 
 
-def _first_misses(chunk, max_key: int, stored):
-    """The first occurrence of each key of ``chunk`` not seen stored, in order.
-
-    Duplicates go before the lookup: ``stored`` sees each distinct key of
-    the chunk once.  Returns an int64 array, or ``None`` when the chunk
-    holds a key that is no int or lies outside ``[0, max_key]``, a sentinel
-    among them.
-    """
+def _steps(keys, max_key: int, stored, lockstep):
+    """Per chunk of distinct keys: the lockstep's count, or its ``(position, key)``s."""
     try:
-        codes = np.frombuffer(array("q", chunk), dtype=np.int64)
+        codes = np.frombuffer(array("I", keys), dtype=np.uint32)
     except (OverflowError, TypeError):
-        return None
-    if codes.min() < 0 or codes.max() > max_key:
-        return None
-    # each key packed above its position, which fits in int64 as keys are
-    # below 2**32: one sort groups a key's occurrences, the first leading
+        codes = None
+    if codes is None or len(codes) and codes.max() > max_key:
+        yield 0, enumerate(keys)
+        return
+    # each key packed above its position, below 2**64 as keys are below
+    # 2**32: one sort in place groups a key's occurrences, the first leading
     bits = len(codes).bit_length()
-    packed = np.sort(codes << bits | np.arange(len(codes)))
-    keys = packed >> bits
+    packed = codes.astype(np.uint64)
+    packed <<= bits
+    scratch = np.arange(len(codes), dtype=np.uint32)
+    packed |= scratch
+    packed.sort()
+    np.right_shift(packed, bits, out=scratch, casting="unsafe")
     first = np.ones(len(packed), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    miss = ~stored(keys[first].astype(np.uint64))
-    return codes[np.sort(packed[first][miss] & ((1 << bits) - 1))]
+    np.not_equal(scratch[1:], scratch[:-1], out=first[1:])
+    del scratch
+    positions = packed[first]
+    del packed, first
+    positions &= (1 << bits) - 1
+    positions.sort()
+    distinct = codes[positions]
+    for start in range(0, len(distinct), REPLAY_CHUNK):
+        chunk = distinct[start : start + REPLAY_CHUNK].astype(np.uint64)
+        miss = ~stored(chunk)
+        misses = chunk[miss].view(np.int64)
+        placed = lockstep(misses) if len(misses) else 0
+        if placed is None:
+            at = positions[start : start + REPLAY_CHUNK][miss].tolist()
+            yield 0, zip(at, misses.tolist())
+        else:
+            yield placed, ()

@@ -123,6 +123,44 @@ def test_full_table_stops_at_the_same_key(kind, width, chunk, monkeypatch):
     assert contents(table) == contents(expected)
 
 
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_a_table_filling_after_lockstep_chunks_stores_every_earlier_key(
+    kind, width, monkeypatch
+):
+    monkeypatch.setattr(words, "REPLAY_CHUNK", 16)
+    # each new key followed by two repeats of keys seen before it
+    rng = np.random.default_rng(4)
+    keys = []
+    for key in range(1_000, 1_400):
+        keys.append(key)
+        keys.extend(rng.choice(keys, 2).tolist())
+    kw = {"max_evictions": 4, "stash_size": 1} if kind == "cuckoo" else {}
+    table = make_table(kind, width, 100, **kw)
+    lockstep = table._lockstep
+    steps = []
+
+    def watched(chunk):
+        steps.append(lockstep(chunk))
+        return steps[-1]
+
+    table._lockstep = watched
+    inserted, found, full = table.replay(keys)
+    assert full
+    # the lockstep placed the first chunks whole; the table filled later
+    assert steps[:2] == [16, 16] and steps[-1] is None
+    stop = inserted + found
+    assert stop > 32
+    # the replay stopped at the first occurrence of the key that did not fit
+    assert keys[stop] not in keys[:stop]
+    assert inserted == len(set(keys[:stop]))
+    pad = (0,) * (width - 1)
+    if kind == "cuckoo":
+        assert all(table.contains(k) for k in keys[:stop])
+    else:
+        assert all(table.contains((k,) + pad) for k in keys[:stop])
+    assert table.stored_keys() >= set(keys[:stop])
+
+
 def spy(table, name, calls):
     """Record each argument of ``table.<name>`` in ``calls``, then call it."""
     method = getattr(table, name)
@@ -147,12 +185,15 @@ def test_each_missed_key_reaches_the_lockstep_once_per_chunk(kind, width):
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
-def test_the_pre_pass_sees_each_distinct_key_of_a_chunk_once(kind, width, monkeypatch):
+def test_the_pre_pass_sees_each_distinct_key_of_a_block_once(kind, width, monkeypatch):
     chunk = 256
     monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
-    block = BLOCKS["random-d10"](top_key(kind))
+    # 500 keys repeated all through the block, then 300 new ones twice over:
+    # repeats cross the seams of block chunks and of distinct-key chunks
+    block = BLOCKS["random-d10"](top_key(kind)) + list(range(1_000, 1_300)) * 2
+    distinct = list(dict.fromkeys(block))
     # room to spare: a full table would end the replay early
-    expected = 2 * len(set(block))
+    expected = 2 * len(distinct)
     table = make_table(kind, width, expected)
     stored, lockstep = table._stored, table._lockstep
     looked_up = []  # the keys of each pre-pass, not of a lockstep's re-check
@@ -174,11 +215,11 @@ def test_the_pre_pass_sees_each_distinct_key_of_a_chunk_once(kind, width, monkey
     reference = per_key(make_table(kind, width, expected), block)
     assert not reference[2]
     assert table.replay(block) == reference
-    chunks = [block[i : i + chunk] for i in range(0, len(block), chunk)]
-    assert len(looked_up) == len(chunks)
-    for keys, keys_of_chunk in zip(looked_up, chunks):
-        assert len(keys) == len(set(keys))
-        assert set(keys) == set(keys_of_chunk)
+    # every distinct key once, in first-occurrence order, a chunk at a time
+    seen = [k for keys in looked_up for k in keys]
+    assert sorted(seen) == sorted(distinct)
+    assert seen == distinct
+    assert [len(keys) for keys in looked_up] == [chunk, chunk, chunk, len(distinct) - 3 * chunk]
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
@@ -438,6 +479,19 @@ def test_bad_key_raises_value_error_in_its_place(kind, width):
             table.replay(good + [bad, 8, 9])
         # the keys before the bad one went in, the ones after did not
         assert table.stored_keys() == {3, 4}
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_bad_key_past_the_first_chunk_raises_in_its_place(kind, width, monkeypatch):
+    monkeypatch.setattr(words, "REPLAY_CHUNK", 8)
+    # 21 distinct keys, with repeats, come before the bad one
+    before = list(range(20)) * 2 + [3, 25]
+    after = [30, 5, 31]
+    for bad in bad_keys(kind):
+        table = make_table(kind, width, 100)
+        with pytest.raises(ValueError):
+            table.replay(before + [bad] + after)
+        assert table.stored_keys() == set(before)
 
 
 def test_cuckoo_empty_word_is_never_found():
