@@ -9,9 +9,9 @@ eviction: a vector that finds all frames of all its candidate buckets taken
 means the table is full.  :meth:`BucketTable.replay` looks up a block's
 distinct keys a chunk at a time through a numpy view of the words, and
 inserts their misses in one lockstep step under every stripe lock, falling
-back to the per-key protocol when the step cannot place the whole chunk.  The pre-pass and the
-step walk a key's buckets function by function in the same way, and leave a
-bucket only when it is full.
+back to the per-key protocol when the step cannot place the whole chunk.
+The pre-pass and the step walk a key's buckets function by function in the
+same way, and leave a bucket only when it is full.
 """
 
 import math

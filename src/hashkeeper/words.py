@@ -87,7 +87,7 @@ def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, i
 
 
 def _steps(keys, max_key: int, stored, lockstep):
-    """Per chunk of distinct keys: the lockstep's count, or its ``(position, key)``s."""
+    """Per distinct-key chunk: the lockstep's count and the ``(position, key)`` it declined."""
     try:
         codes = np.frombuffer(array("I", keys), dtype=np.uint32)
     except (OverflowError, TypeError):
