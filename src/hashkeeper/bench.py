@@ -128,6 +128,18 @@ def _build_table(table_kind, unique, scale, width, hash_functions, hash_seed):
     return BucketTable(unique, width, family, scale=scale)
 
 
+def _distinct(codes) -> np.ndarray:
+    """The distinct ``codes``, sorted, as int64; ``ValueError`` if one does not fit."""
+    try:
+        keys = np.fromiter(codes, dtype=np.int64, count=len(codes))
+    except OverflowError:
+        raise ValueError("workload codes must fit in 64-bit signed integers") from None
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _split(codes, workers):
     # one worker replays ``codes`` itself: a slice would copy every pointer
     if workers == 1:
@@ -157,7 +169,9 @@ def run(
     from the earliest start to the latest finish, and one worker starts no
     thread.  Each worker replays its block through ``table.replay``.  With
     ``verify`` the counts and the final stored set of every repetition are
-    checked against the sequential reference set.
+    checked against the reference: the sorted distinct codes, whose count
+    sizes the table.  A code outside int64 raises ``ValueError`` before any
+    worker starts; any other bad code raises it from the table.
     """
     if table_kind not in TABLE_KINDS:
         raise ValueError(f"table must be one of {TABLE_KINDS}, got {table_kind!r}")
@@ -169,7 +183,7 @@ def run(
         raise ValueError(f"scale must be > 1, got {scale}")
     codes = workload.codes
     length = len(codes)
-    reference = set(codes)
+    reference = _distinct(codes)
     unique = len(reference)
     if table_factory is None:
         def table_factory():
@@ -229,9 +243,10 @@ def run(
                     f"{table_kind}: inserted {inserted} != unique {unique}"
                 )
             stored = table.stored_keys()
-            if stored != reference:
-                missing = len(reference - stored)
-                extra = len(stored - reference)
+            stored = np.sort(np.fromiter(stored, dtype=np.int64, count=len(stored)))
+            if not np.array_equal(stored, reference):
+                missing = np.setdiff1d(reference, stored, assume_unique=True).size
+                extra = np.setdiff1d(stored, reference, assume_unique=True).size
                 raise InternalConsistencyError(
                     f"{table_kind}: stored set differs from reference "
                     f"({missing} missing, {extra} extra)"

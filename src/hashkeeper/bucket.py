@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .hashing import MOD_PRIME, HashFamily
+from .hashing import MOD_PRIME, HashFamily, hash_array
 from .words import (
     CLAIMED_WORD,
     EMPTY_WORD,
@@ -188,12 +188,15 @@ class BucketTable:
         pre-pass are dropped.  The rest are placed as GPUexplore places a
         warp's vectors in a bucket (Wijs and Bosnacki, 2014): grouped by
         bucket in emission order, the first ``free`` keys of a group take
-        the bucket's next empty frames, occupied frames being a prefix of
-        each bucket, and the rest move on to the next function, so a key
-        leaves only a full bucket.  A key left after the last function makes
-        the step decline with the table untouched.  Frames are then claimed,
-        filled and published, one scatter each, so readers only ever see
-        empty, claimed or complete frames.
+        the bucket's next empty frames, and the rest move on to the next
+        function, so a key leaves only a full bucket.  One sort of
+        ``bucket << bits | row`` forms the groups, each in emission order
+        since rows are unique; a key's rank is its place less its group's
+        start.  Occupied frames are a prefix of each bucket, so a bucket's
+        used frames end at its first empty head.  A key left after the last
+        function makes the step decline with the table untouched.  Frames
+        are then claimed, filled and published, one scatter each, so readers
+        only ever see empty, claimed or complete frames.
 
         Claims need only be read in the buckets the walk reaches: a per-key
         writer claims a frame in a key's j-th bucket only after finding
@@ -205,7 +208,7 @@ class BucketTable:
         for lock in table._locks:
             lock.acquire()
         try:
-            keys = keys.astype(np.uint64)
+            keys = keys.view(np.uint64)
             fps = keys * self._pad_mult & 0xFFFFFFFF
             keys = keys.astype(np.uint32)
             heads = self._heads()
@@ -214,18 +217,27 @@ class BucketTable:
             first = np.full(len(keys), -1, dtype=np.intp)  # word 0 of each key's frame
             pending = np.arange(len(keys))
             for a, b in self._pairs:
-                bucket = ((fps[pending] * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
+                bucket = hash_array(fps[pending], a, b, self.buckets)
                 lead = heads.take(bucket, axis=0)
                 if (lead == CLAIMED_WORD).any():
                     return None
+                empty = lead == EMPTY_WORD
+                used = np.where(empty[:, -1], empty.argmax(axis=1), per)
                 rest = np.ones(len(pending), dtype=bool)
                 rest[self._published_in(lead, bucket, keys[pending])] = False
                 rest = np.flatnonzero(rest)
-                rest = rest[np.argsort(bucket[rest], kind="stable")]
-                pending, bucket = pending[rest], bucket[rest]
-                rank = np.arange(len(bucket)) - np.searchsorted(bucket, bucket)
-                empty = np.count_nonzero(lead == EMPTY_WORD, axis=1)[rest]
-                frame = per - empty + taken[bucket] + rank
+                bits = len(pending).bit_length()
+                packed = bucket[rest] << bits
+                packed |= rest
+                packed.sort()
+                bucket = packed >> bits
+                rest = packed & ((1 << bits) - 1)
+                pending = pending[rest]
+                start = np.zeros(len(bucket), dtype=np.intp)
+                runs = np.flatnonzero(bucket[1:] != bucket[:-1]) + 1
+                start[runs] = runs
+                rank = np.arange(len(bucket)) - np.maximum.accumulate(start)
+                frame = used[rest] + taken[bucket] + rank
                 fits = frame < per
                 first[pending[fits]] = bucket[fits] * BUCKET_WORDS + frame[fits] * self.width
                 np.add.at(taken, bucket[fits], 1)
@@ -264,7 +276,7 @@ class BucketTable:
         stored = np.zeros(len(keys), dtype=bool)
         pending = np.arange(len(keys))
         for a, b in self._pairs:
-            bucket = ((fps * a + b) % MOD_PRIME % self.buckets).astype(np.intp)
+            bucket = hash_array(fps, a, b, self.buckets)
             lead = heads.take(bucket, axis=0)
             seen = self._published_in(lead, bucket, keys)
             stored[pending[seen]] = True

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .hashing import MOD_PRIME, HashFamily
+from .hashing import MOD_PRIME, HashFamily, hash_array
 from .words import (
     EMPTY_WORD,
     FOUND,
@@ -138,84 +138,103 @@ class CuckooTable:
         slot holding ``k`` means ``k`` is stored.  :meth:`_lockstep` inserts
         the chunk's other keys at once; when it declines, they go through
         :meth:`find_or_insert` one by one.
+
+        The step takes the relocation lock and looks the misses up again
+        only when ``_version`` was odd when the chunk's pre-pass began or
+        has moved since.  Otherwise the pre-pass's misses still hold: every
+        slot, stash and in-flight write happens under the lock between two
+        version bumps, and versions only grow, so an even version that is
+        unchanged under the lock means nothing was written since the
+        pre-pass read it.  Keys in the stash or carried along a chain are
+        never in the slots, so :meth:`_lockstep` drops them either way.  The
+        version the pre-pass began at belongs to this call, not the table:
+        concurrent replays each keep their own.
         """
-        return replay(keys, MAX_KEY, self._stored, self.find_or_insert, self._lockstep)
+        began = 1  # odd: no pre-pass has begun
+
+        def stored(chunk):
+            nonlocal began
+            began = self._version
+            return self._stored(chunk)
+
+        def lockstep(misses):
+            lock = self._write_lock
+            if not lock.acquire(False):
+                self._acquire_write_lock()
+            try:
+                if self._version != began:
+                    misses = misses[~self._stored(misses.view(np.uint64))]
+                return self._lockstep(misses)
+            finally:
+                lock.release()
+
+        return replay(keys, MAX_KEY, stored, self.find_or_insert, lockstep)
 
     def _stored(self, keys):
         """Mask of the uint64 ``keys`` found in one of their candidate slots."""
-        # a * k + b < 2**64 for 32-bit a, b and k, so uint64 hashing is exact
         view = self._view
         m = self.m
         stored = np.zeros(len(keys), dtype=bool)
         for a, b in self._pairs:
-            stored |= view[(keys * a + b) % MOD_PRIME % m] == keys
+            stored |= view[hash_array(keys, a, b, m)] == keys
         return stored
 
     def _lockstep(self, keys):
         """Insert the distinct int64 ``keys`` in rounds; None when it declines.
 
-        Runs under the relocation lock.  Keys another worker stored or is
-        carrying since the pre-pass are dropped; the rest are inserted as
-        GPU cuckoo tables insert a warp (Alcantara et al., 2009), on a
-        private copy of the slots.  In each round every pending key writes
-        its current function's slot and the last writer wins.  A key
-        overwritten in the same round moves on to its next function, and a
-        displaced resident to the function after the smallest one that maps
-        it to that slot, as in :meth:`_try_place`, so slots only go empty ->
-        occupied along each key's functions.  If every key is placed within
-        ``max_evictions`` rounds, the written slots are published under one
-        version bump and the count of inserted keys is returned.  Otherwise
-        the table is left untouched: the stash is never written.
+        Runs under the relocation lock, which the caller holds, on keys
+        missing from the slots.  Keys in the stash or carried along a chain
+        are dropped; the rest are inserted as GPU cuckoo tables insert a
+        warp (Alcantara et al., 2009), on a private copy of the slots.  In
+        each round every pending key writes its current function's slot and
+        the last writer wins.  A key overwritten in the same round moves on
+        to its next function, and a displaced resident to the function after
+        the smallest one that maps it to that slot, as in :meth:`_try_place`,
+        so slots only go empty -> occupied along each key's functions.  If
+        every key is placed within ``max_evictions`` rounds, the written
+        slots are published under one version bump and the count of inserted
+        keys is returned.  Otherwise the table is left untouched: the stash
+        is never written.
         """
-        lock = self._write_lock
-        if not lock.acquire(False):
-            self._acquire_write_lock()
-        try:
-            keys = keys.astype(np.uint64)
-            absent = ~self._stored(keys)
-            # keys off the slots: stashed, or carried along another chain
-            held = [w for w in self._stash if w != EMPTY_WORD]
-            held += self._inflight.values()
-            if held:
-                absent &= ~np.isin(keys, held)
-            keys = keys[absent]
-            if not len(keys):
-                return 0
-            view = self._view
-            work = view.copy()
-            m = self.m
-            count = len(self._pairs)
-            a, b = np.array(self._pairs, dtype=np.uint64).T
-            pending = keys
-            step = np.zeros(len(keys), dtype=np.intp)
-            written = []
-            for _ in range(self.max_evictions):
-                if not len(pending):
-                    break
-                slot = ((pending * a[step] + b[step]) % MOD_PRIME % m).astype(np.intp)
-                resident = work[slot]
-                work[slot] = pending
-                won = work[slot] == pending
-                resident, slot = resident[won], slot[won]
-                written.append(slot)
-                displaced = resident != EMPTY_WORD
-                resident = resident[displaced].astype(np.uint64)
-                slot = slot[displaced]
-                first = np.argmax(
-                    (resident[:, None] * a + b) % MOD_PRIME % m == slot[:, None], axis=1
-                )
-                pending = np.concatenate((pending[~won], resident))
-                step = np.concatenate((step[~won] + 1, first + 1)) % count
-            if len(pending):
-                return None
-            written = np.concatenate(written)
-            version = self._version
-            self._version = version + 1
-            view[written] = work[written]
-            self._version = version + 2
-            return len(keys)
-        finally:
-            lock.release()
+        keys = keys.view(np.uint64)
+        # keys off the slots: stashed, or carried along another chain
+        held = [w for w in self._stash if w != EMPTY_WORD]
+        held += self._inflight.values()
+        if held:
+            keys = keys[~np.isin(keys, held)]
+        if not len(keys):
+            return 0
+        view = self._view
+        work = view.copy()
+        m = self.m
+        count = len(self._pairs)
+        a, b = np.array(self._pairs, dtype=np.uint64).T
+        pending = keys
+        step = np.zeros(len(keys), dtype=np.intp)
+        written = []
+        for _ in range(self.max_evictions):
+            if not len(pending):
+                break
+            slot = hash_array(pending, a[step], b[step], m)
+            resident = work[slot]
+            work[slot] = pending
+            won = work[slot] == pending
+            resident, slot = resident[won], slot[won]
+            written.append(slot)
+            displaced = resident != EMPTY_WORD
+            resident = resident[displaced].astype(np.uint64)
+            slot = slot[displaced]
+            first = np.argmax(hash_array(resident[:, None], a, b, m) == slot[:, None], axis=1)
+            pending = np.concatenate((pending[~won], resident))
+            step = np.concatenate((step[~won] + 1, first + 1)) % count
+        if len(pending):
+            return None
+        written = np.concatenate(written)
+        version = self._version
+        self._version = version + 1
+        view[written] = work[written]
+        self._version = version + 2
+        return len(keys)
 
     def contains(self, key: int) -> bool:
         if not 0 <= key <= MAX_KEY:

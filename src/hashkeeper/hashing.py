@@ -6,9 +6,15 @@ prime slightly above 2**32 and only the (a_i, b_i) constants change when a
 table is rebuilt.  Constants come from a SplitMix64 stream so that two runs
 with the same seed (in any implementation of that generator) use identical
 functions.
+
+:func:`hash_array` evaluates the same formula over a uint64 array, as both
+tables' numpy paths do: ``a * k + b < 2**64`` for 32-bit ``a``, ``b`` and
+``k``, so uint64 arithmetic is exact.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 # Smallest prime above 2**32.
 MOD_PRIME = 4294967311
@@ -67,6 +73,20 @@ class HashFamily:
 
     def __repr__(self) -> str:
         return f"HashFamily(seed={self.seed}, count={self.count})"
+
+
+def hash_array(keys, a, b, m: int) -> np.ndarray:
+    """``((a * k + b) mod P) mod m`` over the uint64 array ``keys``, as indexes.
+
+    ``a`` and ``b`` are ints or uint64 arrays that broadcast against
+    ``keys``.  Both remainders are taken as ``x - x // d * d``: numpy divides
+    a uint64 array by a scalar with a multiply and a shift (libdivide), while
+    ``%`` divides element by element, over twice the time of the whole hash.
+    """
+    x = keys * a + b
+    x -= x // MOD_PRIME * MOD_PRIME
+    x -= x // m * m
+    return x.view(np.intp)
 
 
 def generate(seed: int, count: int = 4) -> HashFamily:

@@ -4,6 +4,7 @@ import itertools
 import math
 from collections import deque
 
+from hashkeeper.bucket import BUCKET_WORDS, fingerprint
 from hashkeeper.trace import Automaton, Model
 from hashkeeper.words import EMPTY_WORD, FOUND, INSERTED, TABLE_FULL
 
@@ -182,3 +183,34 @@ class SequentialCuckoo:
                 return (TABLE_FULL if full else INSERTED), evictions
             smallest = next(i for i in range(count) if self.slot(i, carried) == slot)
             slot = self.slot((smallest + 1) % count, carried)
+
+
+def lockstep_frames(table, keys):
+    """Where the bucket lockstep places ``(k, 0, ..., 0)`` for ``keys``: a plain loop.
+
+    The documented rule, on a table with no claimed frame: the functions in
+    turn, and at each the keys still pending in emission order.  A key takes
+    the next free frame of its bucket, occupied frames being a prefix of it,
+    or moves on to the next function only from a full bucket.  Returns
+    ``{word index of the frame: key}``, or None when a key is left after the
+    last function.
+    """
+    width = table.width
+    used = {}
+    for first in table.frame_map():
+        used[first // BUCKET_WORDS] = used.get(first // BUCKET_WORDS, 0) + 1
+    placed = {}
+    pending = list(keys)
+    for i in range(table.family.count):
+        left = []
+        for key in pending:
+            fp = fingerprint((key,) + (0,) * (width - 1))
+            bucket = table.family.hash(i, fp, table.buckets)
+            frame = used.get(bucket, 0)
+            if frame < table.frames_per_bucket:
+                placed[bucket * BUCKET_WORDS + frame * width] = key
+                used[bucket] = frame + 1
+            else:
+                left.append(key)
+        pending = left
+    return None if pending else placed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hashkeeper.hashing import MOD_PRIME, HashFamily, generate
+from hashkeeper.hashing import MOD_PRIME, HashFamily, generate, hash_array
 
 
 def vector_hash(family, i, keys, m):
@@ -62,6 +62,28 @@ def test_function_index_out_of_range():
     f = generate(5, 4)
     with pytest.raises(IndexError):
         f.hash(4, 1, 10)
+
+
+EDGE_KEYS = [0, 1, 2**32 - 2, 2**32 - 1]
+TABLE_SIZES = [1, 2, 7, 1024, 10**6, 593_190, 2**32 - 1]
+
+
+@pytest.mark.parametrize("m", TABLE_SIZES)
+def test_hash_array_matches_the_per_key_hash(m):
+    f = generate(5, 4)
+    rng = np.random.default_rng(m)
+    keys = EDGE_KEYS + rng.integers(0, 2**32, size=500).tolist()
+    array = np.array(keys, dtype=np.uint64)
+    for i, (a, b) in enumerate(f.pairs):
+        assert hash_array(array, a, b, m).tolist() == [f.hash(i, k, m) for k in keys]
+    # one function per element, as a cuckoo round hashes its pending keys
+    step = rng.integers(0, 4, size=len(keys))
+    a, b = np.array(f.pairs, dtype=np.uint64).T
+    got = hash_array(array, a[step], b[step], m).tolist()
+    assert got == [f.hash(int(i), k, m) for i, k in zip(step, keys)]
+    # every function for every key, as a displaced key's first function is sought
+    got = hash_array(array[:, None], a, b, m).tolist()
+    assert got == [[f.hash(i, k, m) for i in range(4)] for k in keys]
 
 
 def test_uniformity_chi_square():

@@ -13,6 +13,7 @@ from hashkeeper.cuckoo import MAX_KEY, CuckooTable
 from hashkeeper.hashing import HashFamily
 from hashkeeper.trace import example_model, explore
 from hashkeeper.words import CLAIMED_WORD, EMPTY_WORD, FOUND, INSERTED
+from oracles import lockstep_frames
 
 # (kind, width): the cuckoo table and the bucket table at two widths
 TABLES = (("cuckoo", 1), ("bucket", 1), ("bucket", 3))
@@ -222,6 +223,49 @@ def test_the_pre_pass_sees_each_distinct_key_of_a_block_once(kind, width, monkey
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
+def test_one_worker_looks_each_distinct_key_up_once(kind, width, monkeypatch):
+    chunk = 64
+    monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
+    block = random_block(6_000, 2_000, 14)
+    distinct = len(set(block))
+    table = make_table(kind, width, distinct)
+    calls = []
+    spy(table, "_stored", calls)
+    assert table.replay(block) == (distinct, len(block) - distinct, False)
+    # the pre-pass of each chunk and nothing more: no other worker wrote
+    # between a pre-pass and its step, so no step looked its misses up again
+    assert len(calls) == -(-distinct // chunk)
+    assert sum(len(keys) for keys in calls) == distinct
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_a_write_after_the_pre_pass_makes_the_step_look_again(kind, width, monkeypatch):
+    monkeypatch.setattr(words, "REPLAY_CHUNK", 8)
+    table = make_table(kind, width, 100)
+    pad = (0,) * (width - 1)
+    stored = table._stored
+    raced = []
+
+    def racing(chunk):
+        mask = stored(chunk)
+        if not raced:
+            # another worker inserts one of the chunk's misses meanwhile
+            raced.append(int(chunk[3]))
+            key = raced[0]
+            outcome = table.find_or_insert(key if kind == "cuckoo" else (key,) + pad)
+            assert outcome.tag is INSERTED
+        return mask
+
+    table._stored = racing
+    block = list(range(20)) * 2
+    # the raced key counts as found, not inserted
+    assert table.replay(block) == (19, 21, False)
+    assert raced == [3]
+    assert table.stored_keys() == set(range(20))
+    assert table.stored_count() == 20
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
 def test_each_missed_key_reaches_find_or_insert_once_per_chunk(kind, width):
     # with a lockstep step that always declines
     table = make_table(kind, width, 100)
@@ -357,6 +401,59 @@ def test_bucket_lockstep_drops_a_key_published_past_its_first_bucket(width):
     before = view.tobytes()
     assert table._lockstep(np.array([key], dtype=np.int64)) == 0
     assert view.tobytes() == before
+
+
+def keys_into(table, bucket, count, skip, function=0):
+    """``count`` keys outside ``skip`` whose ``function`` bucket is ``bucket``."""
+    found = []
+    for key in range(10**6, 10**7):
+        if key not in skip and candidate_buckets(table, key)[function] == bucket:
+            found.append(key)
+            if len(found) == count:
+                return found
+    raise AssertionError("no such keys")
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_lockstep_places_as_the_plain_loop_does(width):
+    table = make_table("bucket", width, 200)
+    pad = (0,) * (width - 1)
+    per = table.frames_per_bucket
+    # a crowded table: about half its frames taken at random
+    crowd = random_block(table.capacity // 2, 10**6, 15)
+    for key in crowd:
+        assert table.find_or_insert((key,) + pad).tag in (INSERTED, FOUND)
+    used = (table._heads() != EMPTY_WORD).sum(axis=1)
+    # a bucket x left with two free frames and a full bucket y, both filled
+    # through function 0
+    x, y = [b for b in np.argsort(-used, kind="stable").tolist() if used[b] <= per - 2][:2]
+    taken = set(crowd)
+    for bucket, free in ((x, 2), (y, 0)):
+        for key in keys_into(table, bucket, per - free - int(used[bucket]), taken):
+            taken.add(key)
+            assert table.find_or_insert((key,) + pad).tag is INSERTED
+    assert (table._heads()[x] == EMPTY_WORD).sum() == 2
+    assert (table._heads()[y] != EMPTY_WORD).all()
+    # three pending keys reach x at function 0 and one, leaving the full y,
+    # at function 1: four keys for x's two free frames
+    to_x = keys_into(table, x, 3, taken)
+    taken.update(to_x)
+    via_y = next(
+        k for k in range(10**6, 10**7)
+        if k not in taken and candidate_buckets(table, k)[:2] == [y, x]
+    )
+    others = [
+        k for k in random_block(40, 10**6, 16)
+        if k not in taken and x not in candidate_buckets(table, k)[:2]
+    ]
+    pending = list(dict.fromkeys(others[:10] + [via_y] + to_x[:2] + others[10:] + to_x[2:]))
+    expected = lockstep_frames(table, pending)
+    assert expected is not None
+    before = table.frame_map()
+    assert table._lockstep(np.array(pending, dtype=np.int64)) == len(pending)
+    assert table.frame_map() == {**before, **{f: (k,) + pad for f, k in expected.items()}}
+    # x took the first two keys that reached it, in emission order
+    assert sorted(k for f, k in expected.items() if f // 32 == x) == sorted(to_x[:2])
 
 
 # -- the bucket pre-pass stops at a key's first non-full bucket ------------------
