@@ -192,8 +192,8 @@ class BucketTable:
         function, so a key leaves only a full bucket.  One sort of
         ``bucket << bits | row`` forms the groups, each in emission order
         since rows are unique; a key's rank is its place less its group's
-        start.  Occupied frames are a prefix of each bucket, so a bucket's
-        used frames end at its first empty head.  A key left after the last
+        start.  Occupied frames are a prefix of each bucket, so the frames
+        before its empty heads are used.  A key left after the last
         function makes the step decline with the table untouched.  Frames
         are then claimed, filled and published, one scatter each, so readers
         only ever see empty, claimed or complete frames.
@@ -221,17 +221,16 @@ class BucketTable:
                 lead = heads.take(bucket, axis=0)
                 if (lead == CLAIMED_WORD).any():
                     return None
-                empty = lead == EMPTY_WORD
-                used = np.where(empty[:, -1], empty.argmax(axis=1), per)
+                # uint8 row sums in place: count_nonzero or argmax along
+                # the rows takes 2.5-3x as long
+                used = per - np.einsum("ij->i", (lead == EMPTY_WORD).view(np.uint8))
                 rest = np.ones(len(pending), dtype=bool)
                 rest[self._published_in(lead, bucket, keys[pending])] = False
                 rest = np.flatnonzero(rest)
                 bits = len(pending).bit_length()
-                packed = bucket[rest] << bits
-                packed |= rest
+                packed = bucket[rest] << bits | rest
                 packed.sort()
-                bucket = packed >> bits
-                rest = packed & ((1 << bits) - 1)
+                bucket, rest = packed >> bits, packed & ((1 << bits) - 1)
                 pending = pending[rest]
                 start = np.zeros(len(bucket), dtype=np.intp)
                 runs = np.flatnonzero(bucket[1:] != bucket[:-1]) + 1

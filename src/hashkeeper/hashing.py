@@ -7,9 +7,8 @@ table is rebuilt.  Constants come from a SplitMix64 stream so that two runs
 with the same seed (in any implementation of that generator) use identical
 functions.
 
-:func:`hash_array` evaluates the same formula over a uint64 array, as both
-tables' numpy paths do: ``a * k + b < 2**64`` for 32-bit ``a``, ``b`` and
-``k``, so uint64 arithmetic is exact.
+:func:`hash_array` evaluates the formula over uint64 arrays for both tables'
+numpy paths, exactly, since ``a * k + b < 2**64`` for 32-bit ``a``, ``b``, ``k``.
 """
 
 from dataclasses import dataclass
