@@ -142,13 +142,14 @@ class CuckooTable:
         The step takes the relocation lock and looks the misses up again
         only when ``_version`` was odd when the chunk's pre-pass began or
         has moved since.  Otherwise the pre-pass's misses still hold: every
-        slot, stash and in-flight write happens under the lock between two
-        version bumps, and versions only grow, so an even version that is
-        unchanged under the lock means nothing was written since the
-        pre-pass read it.  Keys in the stash or carried along a chain are
-        never in the slots, so :meth:`_lockstep` drops them either way.  The
-        version the pre-pass began at belongs to this call, not the table:
-        concurrent replays each keep their own.
+        write that stores a key, to a slot, the stash or the in-flight
+        registry, happens under the lock between two version bumps, and
+        versions only grow, so an even version that is unchanged under the
+        lock means nothing was stored since the pre-pass read the slots.
+        Keys in the stash or carried along a chain are never in the slots,
+        so :meth:`_lockstep` drops them either way.  The version the
+        pre-pass began at belongs to this call, not the table: concurrent
+        replays each keep their own.
         """
         began = 1  # odd: no pre-pass has begun
 

@@ -99,6 +99,21 @@ class TestRun:
                         assert len(raised) == 1, (kind, bad, workers)
                         assert set(threading.enumerate()) == before
 
+    def test_stored_set_mismatch_counts_missing_and_extra_keys(self):
+        class Swapping(BucketTable):
+            # reports one stored key as another that was never inserted
+            def stored_keys(self):
+                keys = super().stored_keys()
+                keys.discard(min(keys))
+                keys.add(max(keys) + 1)
+                return keys
+
+        wl = gen_random(2_000, 4, 9)
+        unique = len(set(wl.codes))
+        with pytest.raises(InternalConsistencyError, match=r"\(1 missing, 1 extra\)"):
+            run(wl, "bucket", repetitions=1,
+                table_factory=lambda: Swapping(unique, 1, HashFamily(0, 4)))
+
     def test_bucket_driver_follows_table_width(self):
         wl = gen_random(5_000, 5, 8)
         unique = len(set(wl.codes))
