@@ -11,6 +11,7 @@ chosen so each value occurs ``duplication`` times on average.
 import csv
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .bucket import BucketTable
 from .cuckoo import CuckooTable
 from .hashing import HashFamily
-from .trace import read_trace
+from .trace import read_trace, sorted_distinct
 
 TABLE_KINDS = ("cuckoo", "bucket")
 
@@ -128,26 +129,6 @@ def _build_table(table_kind, unique, scale, width, hash_functions, hash_seed):
     return BucketTable(unique, width, family, scale=scale)
 
 
-def _distinct(codes) -> np.ndarray:
-    """The distinct ``codes``, sorted, as int64; ``ValueError`` if one does not fit."""
-    try:
-        keys = np.fromiter(codes, dtype=np.int64, count=len(codes))
-    except OverflowError:
-        raise ValueError("workload codes must fit in 64-bit signed integers") from None
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
-def _split(codes, workers):
-    # one worker replays ``codes`` itself: a slice would copy every pointer
-    if workers == 1:
-        return [codes]
-    n = len(codes)
-    return [codes[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
-
-
 def run(
     workload: Workload,
     table_kind: str,
@@ -170,8 +151,12 @@ def run(
     thread.  Each worker replays its block through ``table.replay``.  With
     ``verify`` the counts and the final stored set of every repetition are
     checked against the reference: the sorted distinct codes, whose count
-    sizes the table.  A code outside int64 raises ``ValueError`` before any
-    worker starts; any other bad code raises it from the table.
+    sizes the table.  The codes become one uint32 array, once: the
+    reference and every worker's block come from it, the blocks as views.
+    A code that is no int or outside ``[0, 2**32)`` raises ``ValueError``
+    before any worker starts; a code the table cannot store, such as a
+    sentinel, raises it from that worker's ``replay`` before the block
+    inserts anything.
     """
     if table_kind not in TABLE_KINDS:
         raise ValueError(f"table must be one of {TABLE_KINDS}, got {table_kind!r}")
@@ -183,14 +168,20 @@ def run(
         raise ValueError(f"scale must be > 1, got {scale}")
     codes = workload.codes
     length = len(codes)
-    reference = _distinct(codes)
+    try:
+        keys = np.frombuffer(array("I", codes), dtype=np.uint32)
+    except (OverflowError, TypeError):
+        raise ValueError("workload codes must be ints in [0, 2**32)") from None
+    reference = sorted_distinct(keys)
     unique = len(reference)
     if table_factory is None:
         def table_factory():
             return _build_table(
                 table_kind, unique, scale, width, hash_functions, hash_seed
             )
-    blocks = _split(codes, workers)
+    blocks = [
+        keys[i * length // workers : (i + 1) * length // workers] for i in range(workers)
+    ]
 
     rep_times = []
     inserted = found = 0

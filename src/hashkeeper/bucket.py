@@ -165,7 +165,9 @@ class BucketTable:
         frame is published, and interior words not yet written read
         ``EMPTY_WORD``.  :meth:`_lockstep` inserts the chunk's other keys at
         once; when it declines, they go through :meth:`find_or_insert` one
-        by one.
+        by one.  ``keys`` is a list or an integer array; a key that is no
+        int or outside ``[0, MAX_LEAD_WORD]`` raises ``ValueError`` before
+        any insert.
         """
         pad = (0,) * (self.width - 1)
         find_or_insert = self.find_or_insert

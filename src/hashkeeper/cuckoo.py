@@ -137,7 +137,9 @@ class CuckooTable:
         of their candidate slots as found: keys never leave the table, so a
         slot holding ``k`` means ``k`` is stored.  :meth:`_lockstep` inserts
         the chunk's other keys at once; when it declines, they go through
-        :meth:`find_or_insert` one by one.
+        :meth:`find_or_insert` one by one.  ``keys`` is a list or an integer
+        array; a key that is no int or outside ``[0, MAX_KEY]`` raises
+        ``ValueError`` before any insert.
 
         The step takes the relocation lock and looks the misses up again
         only when ``_version`` was odd when the chunk's pre-pass began or

@@ -97,10 +97,12 @@ class Trace:
         return cls(codes, unique, mean)
 
 
-def _distinct(words) -> int:
-    """Distinct values in an array by sort and compare, faster than a set."""
+def sorted_distinct(words) -> np.ndarray:
+    """The distinct values of an array, sorted: one sort and compare, faster than a set."""
     ordered = np.sort(words)
-    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + bool(len(ordered))
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def parse_model(text: str) -> Model:
@@ -343,7 +345,7 @@ def write_trace(path, codes) -> Trace:
     words = np.asarray(codes, dtype="<u4")
     if not isinstance(codes, list):
         codes = words.tolist()
-    trace = Trace.from_codes(codes, _distinct(words))
+    trace = Trace.from_codes(codes, len(sorted_distinct(words)))
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         f.write(struct.pack("<Q", len(words)))
@@ -369,4 +371,4 @@ def read_trace(path) -> Trace:
     if len(payload) != 4 * length:
         raise ValueError(f"{path}: truncated trace (expected {length} codes)")
     words = np.frombuffer(payload, dtype="<u4")
-    return Trace.from_codes(words.tolist(), _distinct(words))
+    return Trace.from_codes(words.tolist(), len(sorted_distinct(words)))

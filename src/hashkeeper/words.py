@@ -70,9 +70,10 @@ def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, i
     table's pre-pass, masks the uint64 keys of a chunk it sees stored;
     ``lockstep`` inserts the rest (int64) at once and returns how many it
     inserted, or declines with ``None`` and writes nothing.  Only then do
-    they go to ``find_or_insert`` one by one, as a whole block does when a
-    key is no int or outside ``[0, max_key]``: ``ValueError`` rises in its
-    place.  Replay stops at the first ``TABLE_FULL``, a key's first occurrence.
+    they go to ``find_or_insert`` one by one.  ``keys`` is a list or an
+    integer array; a key that is no int or outside ``[0, max_key]`` raises
+    ``ValueError`` before any insert.  Replay stops at the first
+    ``TABLE_FULL``, a key's first occurrence.
     """
     inserted = 0
     for placed, declined in _steps(keys, max_key, stored, lockstep):
@@ -88,13 +89,11 @@ def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, i
 
 def _steps(keys, max_key: int, stored, lockstep):
     """Per distinct-key chunk: the lockstep's count and the ``(position, key)`` it declined."""
-    try:
-        codes = np.frombuffer(array("I", keys), dtype=np.uint32)
-    except (OverflowError, TypeError):
-        codes = None
-    if codes is None or len(codes) and codes.max() > max_key:
-        yield 0, enumerate(keys)
-        return
+    codes = np.asarray(keys)
+    if len(codes) and (
+        codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > max_key
+    ):
+        raise ValueError(f"keys must be ints in [0, {max_key}]")
     # each key packed above its position, below 2**64 as keys are below
     # 2**32: one sort in place groups a key's occurrences, the first leading
     bits = len(codes).bit_length()

@@ -22,6 +22,18 @@ from hashkeeper.trace import explore, example_model, write_trace
 from hashkeeper.words import EMPTY_WORD
 from hashkeeper import cli
 
+# (kind, width, largest storable key)
+TABLE_TOPS = (
+    ("cuckoo", 1, MAX_KEY),
+    ("bucket", 1, MAX_LEAD_WORD),
+    ("bucket", 3, MAX_LEAD_WORD),
+)
+
+
+def bad_codes(top):
+    """Codes no table stores: sentinels, past 32 bits or int64, negative, or no int."""
+    return (top + 1, EMPTY_WORD, 2**32, -1, -(2**63) - 1, 2**63, 2**64, 1.5, "7", None)
+
 
 class TestGenRandom:
     def test_value_range(self):
@@ -76,11 +88,11 @@ class TestRun:
     def test_worker_error_surfaces_after_join(self):
         # each bad code is out of range for the table: a sentinel word (the
         # one just past its largest key, then the empty word), past 32 bits,
-        # negative, or past int64; with 2 workers it lands in the thread's
-        # block, then in the caller's
+        # negative, past int64, or no int; with 2 workers it lands in the
+        # thread's block, then in the caller's
         before = set(threading.enumerate())
-        for kind, top in (("cuckoo", MAX_KEY), ("bucket", MAX_LEAD_WORD)):
-            for bad in (top + 1, EMPTY_WORD, 2**32, -1, -(2**63) - 1, 2**63, 2**64):
+        for kind, width, top in TABLE_TOPS:
+            for bad in bad_codes(top):
                 for codes in ([1, bad, 3], [bad, 1, 3]):
                     wl = bench.Workload(codes, "unit", len(codes), 1.0)
                     for workers in (1, 2):
@@ -88,7 +100,7 @@ class TestRun:
 
                         def call():
                             try:
-                                run(wl, kind, workers=workers, repetitions=1)
+                                run(wl, kind, workers=workers, repetitions=1, width=width)
                             except ValueError as exc:
                                 raised.append(exc)
 
@@ -98,6 +110,23 @@ class TestRun:
                         assert not caller.is_alive(), (kind, bad, workers)
                         assert len(raised) == 1, (kind, bad, workers)
                         assert set(threading.enumerate()) == before
+
+    def test_bad_code_raises_before_any_insert(self):
+        # a bad code in every block, after a good one: no worker inserts a key
+        for kind, width, top in TABLE_TOPS:
+            for bad in bad_codes(top):
+                codes = [1, bad, 3, bad]
+                wl = bench.Workload(codes, "unit", len(codes), 1.0)
+                for workers in (1, 2):
+                    tables = []
+
+                    def factory():
+                        tables.append(bench._build_table(kind, 10, 1.25, width, 4, 0))
+                        return tables[-1]
+
+                    with pytest.raises(ValueError):
+                        run(wl, kind, workers=workers, repetitions=1, table_factory=factory)
+                    assert all(t.stored_keys() == set() for t in tables), (kind, bad)
 
     def test_stored_set_mismatch_counts_missing_and_extra_keys(self):
         class Swapping(BucketTable):
