@@ -275,7 +275,6 @@ def sweep(
     scale: float = 1.25,
     width: int = 1,
     hash_functions: int = 4,
-    verify: bool = True,
 ) -> list:
     """One benchmark row per (table, length, duplication); writes CSV to ``out``.
 
@@ -308,7 +307,6 @@ def sweep(
                         scale=scale,
                         width=width,
                         hash_functions=hash_functions,
-                        verify=verify,
                     )
                     reports.append(report)
                     yield report

@@ -92,7 +92,7 @@ class Trace:
 
     @classmethod
     def from_codes(cls, codes: list, unique: int) -> "Trace":
-        """Keeps ``codes`` as the list it is: the tables' loops want ints."""
+        """Keeps ``codes`` a list: README promises one, perfbench checks ``codes == explored``."""
         mean = len(codes) / unique if unique else 0.0
         return cls(codes, unique, mean)
 
@@ -103,6 +103,27 @@ def sorted_distinct(words) -> np.ndarray:
     first = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return ordered[first]
+
+
+def first_positions(codes) -> np.ndarray:
+    """Ascending positions of the first occurrence of each value of ``codes``, all below 2**32."""
+    # each code packed above its position, below 2**64: one sort in place
+    # groups a code's occurrences, the first leading
+    bits = len(codes).bit_length()
+    packed = codes.astype(np.uint64)
+    packed <<= bits
+    scratch = np.arange(len(codes), dtype=np.uint32)
+    packed |= scratch
+    packed.sort()
+    np.right_shift(packed, bits, out=scratch, casting="unsafe")
+    first = np.ones(len(packed), dtype=bool)
+    np.not_equal(scratch[1:], scratch[:-1], out=first[1:])
+    del scratch
+    positions = packed[first]
+    del packed, first
+    positions &= (1 << bits) - 1
+    positions.sort()
+    return positions
 
 
 def parse_model(text: str) -> Model:
@@ -326,10 +347,7 @@ def explore(model: Model) -> Trace:
             codes.extend(succ.tolist())
             init_seen = init_seen or bool((succ == init).any())
             fresh = succ[(visited[succ >> 3] >> (succ & 7) & 1) == 0]
-            # keep the first occurrence of each code, in emission order
-            order = np.argsort(fresh, kind="stable")
-            repeat = order[1:][fresh[order[1:]] == fresh[order[:-1]]]
-            fresh = np.delete(fresh, repeat)
+            fresh = fresh[first_positions(fresh)]
             np.bitwise_or.at(visited, fresh >> 3, (1 << (fresh & 7)).astype(np.uint8))
             reached += len(fresh)
             found.append(fresh)

@@ -1,15 +1,18 @@
 """Shared plumbing for tables built from arrays of 32-bit words.
 
 The word storage with its compare-exchange, and ``replay``, which both
-tables run: one sort finds a block's distinct keys, a numpy pre-pass those
-stored, the lockstep step inserts the rest a chunk at a time, and the
-per-key protocol takes over only where it declines.
+tables run: ``trace.first_positions``, the explorer's sort too, finds a
+block's distinct keys, a numpy pre-pass those stored, the lockstep step
+inserts the rest a chunk at a time, and the per-key protocol takes over
+only where it declines.
 """
 
 import threading
 from array import array
 
 import numpy as np
+
+from .trace import first_positions
 
 # All-ones word marks a vacant slot; all-ones minus one marks a frame that has
 # been reserved but whose payload is not fully published yet (bucketed table
@@ -75,49 +78,27 @@ def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, i
     ``ValueError`` before any insert.  Replay stops at the first
     ``TABLE_FULL``, a key's first occurrence.
     """
+    codes = np.asarray(keys)
+    if len(codes) and (
+        codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > max_key
+    ):
+        raise ValueError(f"keys must be ints in [0, {max_key}]")
+    positions = first_positions(codes)
+    distinct = codes[positions]
     inserted = 0
-    for placed, declined in _steps(keys, max_key, stored, lockstep):
-        inserted += placed
-        for position, key in declined:
+    for start in range(0, len(distinct), REPLAY_CHUNK):
+        chunk = distinct[start : start + REPLAY_CHUNK].astype(np.uint64)
+        miss = ~stored(chunk)
+        misses = chunk[miss].view(np.int64)
+        placed = lockstep(misses) if len(misses) else 0
+        if placed is not None:
+            inserted += placed
+            continue
+        at = positions[start : start + REPLAY_CHUNK][miss].tolist()
+        for position, key in zip(at, misses.tolist()):
             tag = find_or_insert(key).tag
             if tag is INSERTED:
                 inserted += 1
             elif tag is not FOUND:
                 return inserted, position - inserted, True
     return inserted, len(keys) - inserted, False
-
-
-def _steps(keys, max_key: int, stored, lockstep):
-    """Per distinct-key chunk: the lockstep's count and the ``(position, key)`` it declined."""
-    codes = np.asarray(keys)
-    if len(codes) and (
-        codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > max_key
-    ):
-        raise ValueError(f"keys must be ints in [0, {max_key}]")
-    # each key packed above its position, below 2**64 as keys are below
-    # 2**32: one sort in place groups a key's occurrences, the first leading
-    bits = len(codes).bit_length()
-    packed = codes.astype(np.uint64)
-    packed <<= bits
-    scratch = np.arange(len(codes), dtype=np.uint32)
-    packed |= scratch
-    packed.sort()
-    np.right_shift(packed, bits, out=scratch, casting="unsafe")
-    first = np.ones(len(packed), dtype=bool)
-    np.not_equal(scratch[1:], scratch[:-1], out=first[1:])
-    del scratch
-    positions = packed[first]
-    del packed, first
-    positions &= (1 << bits) - 1
-    positions.sort()
-    distinct = codes[positions]
-    for start in range(0, len(distinct), REPLAY_CHUNK):
-        chunk = distinct[start : start + REPLAY_CHUNK].astype(np.uint64)
-        miss = ~stored(chunk)
-        misses = chunk[miss].view(np.int64)
-        placed = lockstep(misses) if len(misses) else 0
-        if placed is None:
-            at = positions[start : start + REPLAY_CHUNK][miss].tolist()
-            yield 0, zip(at, misses.tolist())
-        else:
-            yield placed, ()

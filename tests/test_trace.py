@@ -20,6 +20,7 @@ from hashkeeper.trace import (
     encode,
     example_model,
     explore,
+    first_positions,
     parse_model,
     read_trace,
     write_trace,
@@ -303,3 +304,41 @@ class TestTraceFiles:
             path.write_bytes(cut)
             with pytest.raises(ValueError, match="truncated"):
                 read_trace(path)
+
+
+class TestFirstPositions:
+    @staticmethod
+    def oracle(codes):
+        first = {}
+        for i, code in enumerate(codes.tolist()):
+            first.setdefault(code, i)
+        return sorted(first.values())
+
+    def check(self, codes):
+        positions = first_positions(codes)
+        assert positions.tolist() == self.oracle(codes)
+        return positions
+
+    def test_empty_one_and_all_equal(self):
+        assert len(self.check(np.array([], dtype=np.uint32))) == 0
+        assert self.check(np.array([7], dtype=np.uint32)).tolist() == [0]
+        assert self.check(np.full(1000, 42, dtype=np.int64)).tolist() == [0]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 14])
+    def test_lengths_around_powers_of_two(self, k):
+        rng = np.random.default_rng(k)
+        for length in (2**k - 1, 2**k, 2**k + 1):
+            for spread in (2, length, 2**32):
+                self.check(rng.integers(0, spread, length, dtype=np.int64).astype(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_extreme_codes(self, dtype):
+        top = 2**32 - 1
+        codes = np.array([top, 0, 5, top, 0, 5, 1, top - 1, top], dtype=dtype)
+        assert self.check(codes).tolist() == [0, 1, 2, 6, 7]
+        self.check(np.resize(codes, 1025))
+
+    def test_explorer_codes(self):
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, CODE_SPACE, 5000, dtype=np.int64)
+        self.check(np.concatenate([codes, codes[::-2], codes[:7]]))
