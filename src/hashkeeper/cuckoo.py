@@ -2,19 +2,19 @@
 
 Collisions are resolved by displacing the resident key and reinserting it at
 the slot given by its next hash function, up to a bounded chain length: a
-per-key insert is one loop of locked steps, each writing the key it carries
-and taking out the victim.  Keys whose chains hit the bound go to a small
+per-key insert is one chain of swaps, each writing the key it carries and
+taking out the victim.  Keys whose chains hit the bound go to a small
 stash; when even the stash is full the table reports itself full and must
 be rebuilt with fresh hash constants.
 
 Any number of workers may call :meth:`CuckooTable.find_or_insert` and
 :meth:`CuckooTable.contains` concurrently.  Lookups are optimistic and take
-no lock: a version counter (odd while a relocation is in flight) validates
-that no key moved during the scan, and keys being carried between slots
-stay visible through an in-flight registry.  Relocations serialize on one
-lock, which is what makes "insert each distinct key exactly once" hold even
-when eviction chains and duplicate inserts interleave.  Rebuilds require
-external quiescence.  The slots are an ``array('I')`` of 32-bit words with a
+no lock: a version counter, odd while a write is in flight, validates that
+no key moved during the scan.  Each write, a whole chain or a lockstep
+step, is one critical section under the relocation lock, which is what
+makes "insert each distinct key exactly once" hold even when eviction
+chains and duplicate inserts interleave.  Rebuilds require external
+quiescence.  The slots are an ``array('I')`` of 32-bit words with a
 numpy view, through which :meth:`CuckooTable.replay` looks up a block's
 distinct keys a chunk at a time and inserts their misses in lockstep rounds
 under the relocation lock, falling back to the per-key protocol when the
@@ -105,15 +105,12 @@ class CuckooTable:
         # each function paired with the one after it, the last wrapping round
         self._steps = tuple(zip(family.pairs, self._later + family.pairs[:1]))
         self._slots, self._view = word_array(self.m)
-        self._stash = [EMPTY_WORD] * stash_size
-        self._stash_used = 0
+        # stashed keys, in stash order; more than stash_size means full
+        self._stash = []
         # Relocation protocol state: one lock serializes all slot and stash
-        # writes, the version is odd while a write is in flight, and the
-        # registry holds keys currently carried between slots so they never
-        # drop out of sight of concurrent lookups.
+        # writes, and the version is odd while a write is in flight.
         self._write_lock = threading.Lock()
         self._version = 0
-        self._inflight = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -144,14 +141,13 @@ class CuckooTable:
         The step takes the relocation lock and looks the misses up again
         only when ``_version`` was odd when the chunk's pre-pass began or
         has moved since.  Otherwise the pre-pass's misses still hold: every
-        write that stores a key, to a slot, the stash or the in-flight
-        registry, happens under the lock between two version bumps, and
-        versions only grow, so an even version that is unchanged under the
-        lock means nothing was stored since the pre-pass read the slots.
-        Keys in the stash or carried along a chain are never in the slots,
-        so :meth:`_lockstep` drops them either way.  The version the
-        pre-pass began at belongs to this call, not the table: concurrent
-        replays each keep their own.
+        write that stores a key, to a slot or the stash, happens under the
+        lock between two version bumps, and versions only grow, so an even
+        version that is unchanged under the lock means nothing was stored
+        since the pre-pass read the slots.  Keys in the stash are never in
+        the slots, so :meth:`_lockstep` drops them either way.  The version
+        the pre-pass began at belongs to this call, not the table:
+        concurrent replays each keep their own.
         """
         began = 1  # odd: no pre-pass has begun
 
@@ -186,9 +182,9 @@ class CuckooTable:
         """Insert the distinct int64 ``keys`` in rounds; None when it declines.
 
         Runs under the relocation lock, which the caller holds, on keys
-        missing from the slots.  Keys in the stash or carried along a chain
-        are dropped; the rest are inserted as GPU cuckoo tables insert a
-        warp (Alcantara et al., 2009), on a private copy of the slots.  In
+        missing from the slots.  Keys in the stash are dropped; the rest are
+        inserted as GPU cuckoo tables insert a warp (Alcantara et al.,
+        2009), on a private copy of the slots.  In
         each round every pending key writes its current function's slot and
         the last writer wins.  A key overwritten in the same round moves on
         to its next function, and a displaced resident to the function after
@@ -200,11 +196,8 @@ class CuckooTable:
         is never written.
         """
         keys = keys.view(np.uint64)
-        # keys off the slots: stashed, or carried along another chain
-        held = [w for w in self._stash if w != EMPTY_WORD]
-        held += self._inflight.values()
-        if held:
-            keys = keys[~np.isin(keys, held)]
+        if self._stash:
+            keys = keys[~np.isin(keys, self._stash)]
         if not len(keys):
             return 0
         view = self._view
@@ -269,8 +262,7 @@ class CuckooTable:
                 # Slots only ever go empty -> occupied, and a key's first
                 # placement always lands at its function-0 slot, so the scan
                 # can stop at the first vacant candidate: no later function
-                # (and, for function 0, neither the stash nor the in-flight
-                # registry) can hold the key.
+                # (and, for function 0, not the stash) can hold the key.
                 if w != EMPTY_WORD:
                     for a, b in self._later:
                         reads += 1
@@ -279,13 +271,10 @@ class CuckooTable:
                             return True, reads, version, slot0
                         if w == EMPTY_WORD:
                             break
-                    if self._stash_used:
-                        stash = self._stash
-                        if key in stash:
-                            return True, reads + stash.index(key) + 1, version, slot0
-                        reads += len(stash)
-                    if self._inflight and key in list(self._inflight.values()):
-                        return True, reads, version, slot0
+                    stash = self._stash
+                    if key in stash:
+                        return True, reads + stash.index(key) + 1, version, slot0
+                    reads += len(stash)
                 if self._version == version:
                     # Nothing moved while we scanned, so the miss is real.
                     return False, reads, version, slot0
@@ -299,8 +288,9 @@ class CuckooTable:
         # Non-blocking acquire with a scheduler yield.  A blocking acquire
         # would park on a futex and force an interpreter-lock handoff on
         # every release, which collapses throughput into a convoy once a
-        # holder is ever preempted inside its (tiny) critical region.  The
-        # hot paths try one acquire inline and come here only when it fails.
+        # holder is ever preempted inside its critical section: one chain of
+        # at most max_evictions steps, or one lockstep step.  The hot paths
+        # try one acquire inline and come here only when it fails.
         lock = self._write_lock
         while not lock.acquire(False):
             time.sleep(0)
@@ -308,52 +298,42 @@ class CuckooTable:
     def _try_place(self, key: int, slot: int, expected_version: int):
         """Place ``key`` at ``slot``, carrying victims on; None means the table moved on.
 
-        Each step writes the carried key under the relocation lock and takes
-        out the victim, which the in-flight registry keeps visible until the
-        next step places it.  The caller's validated miss is only acted on if
-        the version is still ``expected_version`` once the lock is held for
-        the first step, which pins "key absent" and "key written" together
-        into one atomic step.  A victim moves on via the function after the
-        smallest one that maps it to its slot, until a free slot takes it,
-        the chain bound sends it to the stash, or a slot already holding it
-        collapses a concurrent duplicate.
+        The whole chain is one critical section: the relocation lock is held
+        and the version odd from the first swap to the stash append or the
+        vacant slot that ends it.  The caller's validated miss is only acted
+        on if the version is still ``expected_version`` once the lock is
+        held, which pins "key absent" and "key written" together into one
+        atomic step.  A victim moves on via the function after the smallest
+        one that maps it to its slot, until a free slot takes it or the
+        chain bound sends it to the stash.
         """
-        if self._version != expected_version:
-            return None
-        slots = self._slots
-        inflight = self._inflight
         lock = self._write_lock
-        tid = threading.get_ident()
-        carried = key
-        evictions = 0
+        if not lock.acquire(False):
+            self._acquire_write_lock()
         try:
+            version = self._version
+            if version != expected_version:
+                return None
+            self._version = version + 1
+            slots = self._slots
+            m = self.m
+            carried = key
+            evictions = 0
             while True:
-                if not lock.acquire(False):
-                    self._acquire_write_lock()
-                try:
-                    version = self._version
-                    if version != expected_version and not evictions:
-                        return None
-                    self._version = version + 1
-                    victim = slots[slot]
-                    if victim != carried:
-                        if victim != EMPTY_WORD:
-                            inflight[tid] = victim
-                        slots[slot] = carried
-                    self._version = version + 2
-                finally:
-                    lock.release()
-                if victim == EMPTY_WORD:
-                    return InsertOutcome(INSERTED, evictions) if evictions else _INSERTED_CLEAN
-                if victim == carried:
-                    # A concurrent insertion of the same element: the
-                    # resident copy stays, the carried one is dropped.
-                    return _FOUND if carried == key else InsertOutcome(INSERTED, evictions)
-                carried = victim
+                carried, slots[slot] = slots[slot], carried
+                if carried == EMPTY_WORD:
+                    outcome = InsertOutcome(INSERTED, evictions) if evictions else _INSERTED_CLEAN
+                    break
                 evictions += 1
                 if evictions >= self.max_evictions:
-                    return self._stash_put(carried, evictions)
-                m = self.m
+                    stash = self._stash
+                    # past stash_size the key is still kept, where lookups,
+                    # stored_keys() and rebuild() see it, and the caller is
+                    # told to rebuild
+                    stash.append(carried)
+                    full = len(stash) > self.stash_size
+                    outcome = InsertOutcome(TABLE_FULL if full else INSERTED, evictions)
+                    break
                 for (a, b), nxt in self._steps:
                     if ((a * carried + b) % MOD_PRIME) % m == slot:
                         break
@@ -361,29 +341,10 @@ class CuckooTable:
                     nxt = self._pairs[0]
                 a, b = nxt
                 slot = ((a * carried + b) % MOD_PRIME) % m
-        finally:
-            inflight.pop(tid, None)
-
-    def _stash_put(self, carried: int, evictions: int) -> InsertOutcome:
-        stash = self._stash
-        self._acquire_write_lock()
-        try:
-            version = self._version
-            self._version = version + 1
-            try:
-                stash[stash.index(EMPTY_WORD)] = carried
-                full = False
-            except ValueError:
-                # No free stash word: the carried key goes past the stash's
-                # nominal size, where lookups, stored_keys() and rebuild()
-                # still see it, and the caller is told to rebuild.
-                stash.append(carried)
-                full = True
-            self._stash_used += 1
             self._version = version + 2
+            return outcome
         finally:
-            self._write_lock.release()
-        return InsertOutcome(TABLE_FULL if full else INSERTED, evictions)
+            lock.release()
 
     # -- whole-table operations (quiescent callers only) ---------------------
 
@@ -391,13 +352,12 @@ class CuckooTable:
         """Set of keys currently stored in the slots and the stash."""
         view = self._view
         keys = set(view[view != EMPTY_WORD].tolist())
-        keys.update(w for w in self._stash if w != EMPTY_WORD)
+        keys.update(self._stash)
         return keys
 
     def stored_count(self) -> int:
         """Number of occupied words (slots plus stash)."""
-        n = int(np.count_nonzero(self._view != EMPTY_WORD))
-        return n + sum(1 for w in self._stash if w != EMPTY_WORD)
+        return int(np.count_nonzero(self._view != EMPTY_WORD)) + len(self._stash)
 
     @property
     def capacity(self) -> int:

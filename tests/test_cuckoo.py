@@ -195,7 +195,7 @@ class TestStash:
         t = make_table(8, seed=6, count=2, max_evictions=2, stash_size=4, scale=1.25)
         rng = random.Random(9)
         inserted = []
-        while t._stash_used == 0:
+        while not t._stash:
             k = rng.randrange(0, 10**6)
             if t.find_or_insert(k).tag == INSERTED:
                 inserted.append(k)
@@ -248,6 +248,22 @@ class TestStash:
         assert max(evictions for _, evictions in outcomes) == t.max_evictions
         assert t._view.tolist() == ref.slots
         assert t._stash == ref.stash
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_each_insert_bumps_the_version_once(self, count):
+        # a whole chain, evictions and stash append included, is one
+        # critical section between two version stores
+        t = make_table(200, seed=1, count=count, stash_size=3, scale=1.05)
+        rng = random.Random(count)
+        outcomes = []
+        while not outcomes or outcomes[-1].tag != TABLE_FULL:
+            before = t._version
+            outcomes.append(t.find_or_insert(rng.randrange(0, 2 * t.m)))
+            assert t._version - before == (0 if outcomes[-1].tag == FOUND else 2)
+        assert {o.tag for o in outcomes} == {INSERTED, FOUND, TABLE_FULL}
+        assert any(o.evictions == 1 for o in outcomes)
+        assert max(o.evictions for o in outcomes) == t.max_evictions
+        assert len(t._stash) == t.stash_size + 1
 
 
 class TestRebuild:
