@@ -76,6 +76,8 @@ class BenchReport:
     unique: int
     duplication: float
     rep_times_ms: list = field(default_factory=list)
+    # per repetition, each worker's (start, end) in time.perf_counter seconds
+    rep_spans: list = field(default_factory=list)
 
     def csv_row(self) -> list:
         return [
@@ -148,11 +150,13 @@ def run(
     the first of ``workers`` contiguous blocks and ``workers - 1`` threads
     replay the rest, each timed from a shared barrier; a repetition lasts
     from the earliest start to the latest finish, and one worker starts no
-    thread.  Each worker replays its block through ``table.replay``.  With
-    ``verify`` the counts and the final stored set of every repetition are
-    checked against the reference: the sorted distinct codes, whose count
-    sizes the table.  The codes become one uint32 array, once: the
-    reference and every worker's block come from it, the blocks as views.
+    thread.  Each worker replays its block through ``table.replay``, and
+    the report keeps every repetition's per-worker spans.  With ``verify``
+    the counts and the final stored keys of every repetition, the table's
+    ``stored_key_array()`` sorted, are checked against the reference: the
+    sorted distinct codes, whose count sizes the table.  The codes become
+    one uint32 array, once: the reference and every worker's block come
+    from it, the blocks as views.
     A code that is no int or outside ``[0, 2**32)`` raises ``ValueError``
     before any worker starts; a code the table cannot store, such as a
     sentinel, raises it from that worker's ``replay`` before the block
@@ -184,6 +188,7 @@ def run(
     ]
 
     rep_times = []
+    rep_spans = []
     inserted = found = 0
     table_full = False
     last_table = None
@@ -218,6 +223,7 @@ def run(
             raise errors[0]
         elapsed = max(s[1] for s in spans) - min(s[0] for s in spans)
         rep_times.append(elapsed * 1000.0)
+        rep_spans.append(spans)
         inserted = sum(r[0] for r in results)
         found = sum(r[1] for r in results)
         rep_full = any(r[2] for r in results)
@@ -233,11 +239,11 @@ def run(
                 raise InternalConsistencyError(
                     f"{table_kind}: inserted {inserted} != unique {unique}"
                 )
-            stored = table.stored_keys()
-            stored = np.sort(np.fromiter(stored, dtype=np.int64, count=len(stored)))
+            stored = np.sort(table.stored_key_array())
             if not np.array_equal(stored, reference):
-                missing = np.setdiff1d(reference, stored, assume_unique=True).size
-                extra = np.setdiff1d(stored, reference, assume_unique=True).size
+                missing = np.setdiff1d(reference, stored).size
+                # a key stored twice is one too many, as is one never inserted
+                extra = len(stored) - (unique - missing)
                 raise InternalConsistencyError(
                     f"{table_kind}: stored set differs from reference "
                     f"({missing} missing, {extra} extra)"
@@ -260,6 +266,7 @@ def run(
         unique=unique,
         duplication=workload.duplication,
         rep_times_ms=rep_times,
+        rep_spans=rep_spans,
     )
 
 

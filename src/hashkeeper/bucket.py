@@ -88,6 +88,10 @@ _INSERTED_FIRST = BucketOutcome(INSERTED, 1, 0)
 class BucketTable:
     """Array of 32-word buckets holding ``width``-word vectors in aligned frames."""
 
+    # Distinct keys per pre-pass and lockstep step of replay: larger chunks
+    # gather more frame heads per step, and were slower on every workload.
+    REPLAY_CHUNK = 1 << 14
+
     def __init__(
         self,
         expected_unique: int,
@@ -174,6 +178,7 @@ class BucketTable:
         return replay(
             keys,
             MAX_LEAD_WORD,
+            self.REPLAY_CHUNK,
             self._stored,
             lambda key: find_or_insert((key,) + pad),
             self._lockstep,
@@ -397,9 +402,13 @@ class BucketTable:
         """Set of fully published vectors; quiescent use."""
         return set(self._vectors(self._published()))
 
+    def stored_key_array(self) -> np.ndarray:
+        """uint32 array of word 0 of every published vector, in table order."""
+        return self._words.view[self._published()]
+
     def stored_keys(self) -> set[int]:
         """Set of word 0 of every published vector; quiescent use."""
-        return set(self._words.view[self._published()].tolist())
+        return set(self.stored_key_array().tolist())
 
     def frame_map(self) -> dict[int, tuple]:
         """Published vectors keyed by the word index of their frame."""

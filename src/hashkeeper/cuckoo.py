@@ -16,9 +16,9 @@ makes "insert each distinct key exactly once" hold even when eviction
 chains and duplicate inserts interleave.  Rebuilds require external
 quiescence.  The slots are an ``array('I')`` of 32-bit words with a
 numpy view, through which :meth:`CuckooTable.replay` looks up a block's
-distinct keys a chunk at a time and inserts their misses in lockstep rounds
-under the relocation lock, falling back to the per-key protocol when the
-rounds cannot place the whole chunk.
+distinct keys and inserts their misses in one step of lockstep rounds under
+the relocation lock, falling back to the per-key protocol when the rounds
+cannot place them all.
 """
 
 import math
@@ -72,6 +72,11 @@ def default_max_evictions(slot_count: int) -> int:
 
 class CuckooTable:
     """Flat slot array plus stash; sized at ``scale`` times the unique keys."""
+
+    # Distinct keys per pre-pass and lockstep step of replay.  Keys are
+    # 32-bit words, so no block has more distinct keys: one step takes a
+    # block's misses whole, as a GPU table inserts a batch.
+    REPLAY_CHUNK = 1 << 32
 
     def __init__(
         self,
@@ -130,19 +135,19 @@ class CuckooTable:
         """Find-or-insert every key of ``keys`` in order: ``(inserted, found, full)``.
 
         Each key's first occurrence in ``keys`` reaches the table, and a
-        numpy pre-pass over a chunk of them counts the keys it sees in one
-        of their candidate slots as found: keys never leave the table, so a
-        slot holding ``k`` means ``k`` is stored.  :meth:`_lockstep` inserts
-        the chunk's other keys at once; when it declines, they go through
-        :meth:`find_or_insert` one by one.  ``keys`` is a list or an integer
-        array; a key that is no int or outside ``[0, MAX_KEY]`` raises
-        ``ValueError`` before any insert.
+        numpy pre-pass over them counts the keys it sees in one of their
+        candidate slots as found: keys never leave the table, so a slot
+        holding ``k`` means ``k`` is stored.  :meth:`_lockstep` inserts the
+        other keys at once, in one step for the whole block; when it
+        declines, they go through :meth:`find_or_insert` one by one.
+        ``keys`` is a list or an integer array; a key that is no int or
+        outside ``[0, MAX_KEY]`` raises ``ValueError`` before any insert.
 
         The step takes the relocation lock and looks the misses up again
-        only when ``_version`` was odd when the chunk's pre-pass began or
-        has moved since.  Otherwise the pre-pass's misses still hold: every
-        write that stores a key, to a slot or the stash, happens under the
-        lock between two version bumps, and versions only grow, so an even
+        only when ``_version`` was odd when the pre-pass began or has moved
+        since.  Otherwise the pre-pass's misses still hold: every write that
+        stores a key, to a slot or the stash, happens under the lock between
+        two version bumps, and versions only grow, so an even
         version that is unchanged under the lock means nothing was stored
         since the pre-pass read the slots.  Keys in the stash are never in
         the slots, so :meth:`_lockstep` drops them either way.  The version
@@ -167,13 +172,23 @@ class CuckooTable:
             finally:
                 lock.release()
 
-        return replay(keys, MAX_KEY, stored, self.find_or_insert, lockstep)
+        return replay(
+            keys, MAX_KEY, self.REPLAY_CHUNK, stored, self.find_or_insert, lockstep
+        )
 
     def _stored(self, keys):
-        """Mask of the uint64 ``keys`` found in one of their candidate slots."""
+        """Mask of the uint64 ``keys`` found in one of their candidate slots.
+
+        While ``_version`` is 0 no slot is read and the mask is all false:
+        every write bumps the version to odd before it stores a key, so
+        nothing was ever stored.  A write that begins after that read is
+        one the step's re-check sees, as the version has moved.
+        """
+        stored = np.zeros(len(keys), dtype=bool)
+        if not self._version:
+            return stored
         view = self._view
         m = self.m
-        stored = np.zeros(len(keys), dtype=bool)
         for a, b in self._pairs:
             stored |= view[hash_array(keys, a, b, m)] == keys
         return stored
@@ -183,17 +198,19 @@ class CuckooTable:
 
         Runs under the relocation lock, which the caller holds, on keys
         missing from the slots.  Keys in the stash are dropped; the rest are
-        inserted as GPU cuckoo tables insert a warp (Alcantara et al.,
-        2009), on a private copy of the slots.  In
-        each round every pending key writes its current function's slot and
-        the last writer wins.  A key overwritten in the same round moves on
-        to its next function, and a displaced resident to the function after
-        the smallest one that maps it to that slot, as in :meth:`_try_place`,
-        so slots only go empty -> occupied along each key's functions.  If
-        every key is placed within ``max_evictions`` rounds, the written
-        slots are published under one version bump and the count of inserted
-        keys is returned.  Otherwise the table is left untouched: the stash
-        is never written.
+        inserted as GPU cuckoo tables insert a batch (Alcantara et al.,
+        2009), on a private copy of the slots.  In each round every pending
+        key writes its current function's slot and the last writer wins.  A
+        key overwritten in the same round moves on to its next function, and
+        a displaced resident to the function after the smallest one that
+        maps it to that slot, as in :meth:`_try_place`, so slots only go
+        empty -> occupied along each key's functions.  The residents try the
+        functions one at a time, each only those that no smaller one
+        matched, so a round hashes each resident as often as it must.  If
+        every key is placed within ``max_evictions`` rounds, the slots whose
+        word changed are published under one version bump and the count of
+        inserted keys is returned.  Otherwise the table is left untouched:
+        the stash is never written.
         """
         keys = keys.view(np.uint64)
         if self._stash:
@@ -207,7 +224,6 @@ class CuckooTable:
         a, b = np.array(self._pairs, dtype=np.uint64).T
         pending = keys
         step = np.zeros(len(keys), dtype=np.intp)
-        written = []
         for _ in range(self.max_evictions):
             if not len(pending):
                 break
@@ -216,19 +232,25 @@ class CuckooTable:
             work[slot] = pending
             won = work[slot] == pending
             resident, slot = resident[won], slot[won]
-            written.append(slot)
             displaced = resident != EMPTY_WORD
             resident = resident[displaced].astype(np.uint64)
             slot = slot[displaced]
-            first = np.argmax(hash_array(resident[:, None], a, b, m) == slot[:, None], axis=1)
+            first = np.zeros(len(resident), dtype=np.intp)
+            unmatched = np.arange(len(resident))
+            for j, (aj, bj) in enumerate(self._pairs):
+                hit = hash_array(resident[unmatched], aj, bj, m) == slot[unmatched]
+                first[unmatched[hit]] = j
+                unmatched = unmatched[~hit]
+                if not len(unmatched):
+                    break
             pending = np.concatenate((pending[~won], resident))
             step = np.concatenate((step[~won] + 1, first + 1)) % count
         if len(pending):
             return None
-        written = np.concatenate(written)
+        changed = np.flatnonzero(work != view)
         version = self._version
         self._version = version + 1
-        view[written] = work[written]
+        view[changed] = work[changed]
         self._version = version + 2
         return len(keys)
 
@@ -348,12 +370,15 @@ class CuckooTable:
 
     # -- whole-table operations (quiescent callers only) ---------------------
 
+    def stored_key_array(self) -> np.ndarray:
+        """uint32 array of the keys in the slots, in slot order, then the stash."""
+        view = self._view
+        stash = np.array(self._stash, dtype=np.uint32)
+        return np.concatenate((view[view != EMPTY_WORD], stash))
+
     def stored_keys(self) -> set[int]:
         """Set of keys currently stored in the slots and the stash."""
-        view = self._view
-        keys = set(view[view != EMPTY_WORD].tolist())
-        keys.update(self._stash)
-        return keys
+        return set(self.stored_key_array().tolist())
 
     def stored_count(self) -> int:
         """Number of occupied words (slots plus stash)."""

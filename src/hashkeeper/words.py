@@ -4,7 +4,8 @@ The word storage with its compare-exchange, and ``replay``, which both
 tables run: ``trace.first_positions``, the explorer's sort too, finds a
 block's distinct keys, a numpy pre-pass those stored, the lockstep step
 inserts the rest a chunk at a time, and the per-key protocol takes over
-only where it declines.
+only where it declines.  Each table kind sets its chunk, the distinct keys
+per pre-pass and step, as its ``REPLAY_CHUNK`` class attribute.
 """
 
 import threading
@@ -24,9 +25,6 @@ CLAIMED_WORD = 0xFFFFFFFE
 INSERTED = "inserted"
 FOUND = "found"
 TABLE_FULL = "table_full"
-
-# Distinct keys per pre-pass and lockstep step of ``replay``.
-REPLAY_CHUNK = 1 << 14
 
 _STRIPES = 64  # power of two
 
@@ -65,17 +63,20 @@ class WordArray:
             return True
 
 
-def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, int, bool]:
+def replay(
+    keys, max_key: int, chunk: int, stored, find_or_insert, lockstep
+) -> tuple[int, int, bool]:
     """Find-or-insert ``keys`` in order: ``(inserted, found, full)``.
 
     Only each key's first occurrence reaches the table, in block order: keys
-    never leave it, so every later one counts as found.  ``stored``, a
-    table's pre-pass, masks the uint64 keys of a chunk it sees stored;
-    ``lockstep`` inserts the rest (int64) at once and returns how many it
-    inserted, or declines with ``None`` and writes nothing.  Only then do
-    they go to ``find_or_insert`` one by one.  ``keys`` is a list or an
-    integer array; a key that is no int or outside ``[0, max_key]`` raises
-    ``ValueError`` before any insert.  Replay stops at the first
+    never leave it, so every later one counts as found.  The distinct keys
+    reach it ``chunk`` at a time, the calling table's ``REPLAY_CHUNK``.
+    ``stored``, a table's pre-pass, masks the uint64 keys of a chunk it sees
+    stored; ``lockstep`` inserts the rest (int64) at once and returns how
+    many it inserted, or declines with ``None`` and writes nothing.  Only
+    then do they go to ``find_or_insert`` one by one.  ``keys`` is a list or
+    an integer array; a key that is no int or outside ``[0, max_key]``
+    raises ``ValueError`` before any insert.  Replay stops at the first
     ``TABLE_FULL``, a key's first occurrence.
     """
     codes = np.asarray(keys)
@@ -86,15 +87,15 @@ def replay(keys, max_key: int, stored, find_or_insert, lockstep) -> tuple[int, i
     positions = first_positions(codes)
     distinct = codes[positions]
     inserted = 0
-    for start in range(0, len(distinct), REPLAY_CHUNK):
-        chunk = distinct[start : start + REPLAY_CHUNK].astype(np.uint64)
-        miss = ~stored(chunk)
-        misses = chunk[miss].view(np.int64)
+    for start in range(0, len(distinct), chunk):
+        part = distinct[start : start + chunk].astype(np.uint64)
+        miss = ~stored(part)
+        misses = part[miss].view(np.int64)
         placed = lockstep(misses) if len(misses) else 0
         if placed is not None:
             inserted += placed
             continue
-        at = positions[start : start + REPLAY_CHUNK][miss].tolist()
+        at = positions[start : start + chunk][miss].tolist()
         for position, key in zip(at, misses.tolist()):
             tag = find_or_insert(key).tag
             if tag is INSERTED:

@@ -2,6 +2,7 @@ import csv
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from oracles import expected_multiplicity
@@ -131,17 +132,23 @@ class TestRun:
     def test_stored_set_mismatch_counts_missing_and_extra_keys(self):
         class Swapping(BucketTable):
             # reports one stored key as another that was never inserted
-            def stored_keys(self):
-                keys = super().stored_keys()
-                keys.discard(min(keys))
-                keys.add(max(keys) + 1)
-                return keys
+            def stored_key_array(self):
+                keys = super().stored_key_array()
+                return np.append(np.delete(keys, keys.argmin()), keys.max() + 1)
 
         wl = gen_random(2_000, 4, 9)
         unique = len(set(wl.codes))
         with pytest.raises(InternalConsistencyError, match=r"\(1 missing, 1 extra\)"):
             run(wl, "bucket", repetitions=1,
                 table_factory=lambda: Swapping(unique, 1, HashFamily(0, 4)))
+
+    def test_report_keeps_each_workers_span(self):
+        wl = gen_random(4_000, 4, 3)
+        report = run(wl, "cuckoo", workers=2, repetitions=3)
+        assert len(report.rep_spans) == 3
+        for spans, ms in zip(report.rep_spans, report.rep_times_ms):
+            assert len(spans) == 2 and all(start <= end for start, end in spans)
+            assert ms == (max(end for _, end in spans) - min(start for start, _ in spans)) * 1000.0
 
     def test_bucket_driver_follows_table_width(self):
         wl = gen_random(5_000, 5, 8)

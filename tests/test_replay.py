@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from hashkeeper import words
 from hashkeeper.bucket import MAX_LEAD_WORD, BucketTable, fingerprint
 from hashkeeper.cuckoo import MAX_KEY, CuckooTable
 from hashkeeper.hashing import HashFamily
@@ -58,9 +57,16 @@ def ring_trace():
     return explore(example_model("ring")).codes
 
 
+def set_chunk(monkeypatch, chunk):
+    """Give both table kinds ``chunk`` distinct keys per replay step."""
+    for kind in (CuckooTable, BucketTable):
+        monkeypatch.setattr(kind, "REPLAY_CHUNK", chunk)
+
+
 def chunk_seam():
-    # the first key is last in the first chunk and first in the second
-    n = words.REPLAY_CHUNK
+    # the first key is last in the bucket table's first chunk and first in
+    # its second; the cuckoo table takes the block in one step
+    n = BucketTable.REPLAY_CHUNK
     return list(range(1, n)) + [0, 0] + list(range(1, 50))
 
 
@@ -89,7 +95,7 @@ BLOCKS = {
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_replay_matches_per_key_loop(kind, width, block, chunk, monkeypatch):
     if chunk == "one":
-        monkeypatch.setattr(words, "REPLAY_CHUNK", 1)
+        set_chunk(monkeypatch, 1)
     keys = BLOCKS[block](top_key(kind))
     unique = len(set(keys))
     expected = make_table(kind, width, unique)
@@ -114,7 +120,7 @@ def test_replay_matches_per_key_loop(kind, width, block, chunk, monkeypatch):
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_full_table_stops_at_the_same_key(kind, width, chunk, monkeypatch):
     if chunk is not None:
-        monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
+        set_chunk(monkeypatch, chunk)
     # far more distinct keys than the table holds, with repeats between them
     keys = [k for k in range(400) for _ in range(1 + k % 3)]
     kw = {"max_evictions": 2, "stash_size": 1} if kind == "cuckoo" else {}
@@ -130,7 +136,7 @@ def test_full_table_stops_at_the_same_key(kind, width, chunk, monkeypatch):
 def test_a_table_filling_after_lockstep_chunks_stores_every_earlier_key(
     kind, width, monkeypatch
 ):
-    monkeypatch.setattr(words, "REPLAY_CHUNK", 16)
+    set_chunk(monkeypatch, 16)
     # each new key followed by two repeats of keys seen before it
     rng = np.random.default_rng(4)
     keys = []
@@ -190,7 +196,7 @@ def test_each_missed_key_reaches_the_lockstep_once_per_chunk(kind, width):
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_the_pre_pass_sees_each_distinct_key_of_a_block_once(kind, width, monkeypatch):
     chunk = 256
-    monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
+    set_chunk(monkeypatch, chunk)
     # 500 keys repeated all through the block, then 300 new ones twice over:
     # repeats cross the seams of block chunks and of distinct-key chunks
     block = BLOCKS["random-d10"](top_key(kind)) + list(range(1_000, 1_300)) * 2
@@ -227,7 +233,7 @@ def test_the_pre_pass_sees_each_distinct_key_of_a_block_once(kind, width, monkey
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_one_worker_looks_each_distinct_key_up_once(kind, width, monkeypatch):
     chunk = 64
-    monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
+    set_chunk(monkeypatch, chunk)
     block = random_block(6_000, 2_000, 14)
     distinct = len(set(block))
     table = make_table(kind, width, distinct)
@@ -241,8 +247,24 @@ def test_one_worker_looks_each_distinct_key_up_once(kind, width, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
+def test_a_default_replay_steps_once_per_table_chunk(kind, width):
+    # more distinct keys than a bucket chunk: the cuckoo table takes them in
+    # one pre-pass and one step, the bucket table 2**14 at a time
+    block = random_block(60_000, 50_000, 17)
+    distinct = len(set(block))
+    assert distinct > BucketTable.REPLAY_CHUNK
+    table = make_table(kind, width, 2 * distinct)
+    looked_up, stepped = [], []
+    spy(table, "_stored", looked_up)
+    spy(table, "_lockstep", stepped)
+    assert table.replay(block) == (distinct, len(block) - distinct, False)
+    steps = 1 if kind == "cuckoo" else -(-distinct // BucketTable.REPLAY_CHUNK)
+    assert len(looked_up) == len(stepped) == steps
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
 def test_a_write_after_the_pre_pass_makes_the_step_look_again(kind, width, monkeypatch):
-    monkeypatch.setattr(words, "REPLAY_CHUNK", 8)
+    set_chunk(monkeypatch, 8)
     table = make_table(kind, width, 100)
     pad = (0,) * (width - 1)
     stored = table._stored
@@ -303,6 +325,59 @@ def test_a_declined_lockstep_leaves_the_table_untouched(kind, width):
     assert table.replay(keys) == per_key(expected, keys)
     assert untouched == [True]
     assert contents(table) == contents(expected)
+
+
+class CountingView:
+    """A table's slot view that counts the reads through it."""
+
+    def __init__(self, view):
+        self.view, self.reads = view, 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.view[index]
+
+
+def test_cuckoo_pre_pass_reads_no_slot_of_a_never_written_table():
+    table = make_table("cuckoo", 1, 100)
+    view = CountingView(table._view)
+    table._view = view
+    keys = np.arange(0, 100, 3, dtype=np.uint64)
+    assert not table._stored(keys).any()
+    assert view.reads == 0
+    assert table.find_or_insert(9).tag is INSERTED
+    # once written, one read per function
+    assert table._stored(keys).tolist() == (keys == 9).tolist()
+    assert view.reads == 4
+
+
+def test_cuckoo_resident_moves_on_from_the_smaller_function_to_its_slot():
+    probe = make_table("cuckoo", 1, 12)
+    family, m = probe.family, probe.m
+
+    def slots(key):
+        return [family.hash(i, key, m) for i in range(4)]
+
+    # functions 1 and 3 map the resident to one slot, and the functions it
+    # would move on to from them, 2 and 0, map it elsewhere and apart
+    resident = next(
+        k for k in range(10**6) if (s := slots(k))[1] == s[3] and len({s[0], s[1], s[2]}) == 3
+    )
+    slot = slots(resident)[1]
+    newcomer = next(k for k in range(10**6) if k != resident and slots(k)[0] == slot)
+    words = {}
+    for path in ("lockstep", "per-key"):
+        table = make_table("cuckoo", 1, 12)
+        table._slots[slot] = resident  # as if placed through function 1
+        if path == "lockstep":
+            assert table._lockstep(np.array([newcomer], dtype=np.int64)) == 1
+        else:
+            assert table.find_or_insert(newcomer).tag is INSERTED
+        assert table._view[slot] == newcomer
+        assert table._view[slots(resident)[2]] == resident
+        assert table.stored_keys() == {resident, newcomer}
+        words[path] = table._view.tobytes()
+    assert words["lockstep"] == words["per-key"]
 
 
 def test_cuckoo_stashed_key_counts_as_found():
@@ -563,7 +638,7 @@ def bad_keys(kind):
 
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_bad_key_raises_value_error_before_any_insert(kind, width, monkeypatch):
-    monkeypatch.setattr(words, "REPLAY_CHUNK", 8)
+    set_chunk(monkeypatch, 8)
     # a few keys before the bad one, and more distinct keys than a chunk
     for good in ([3, 4, 3], list(range(20)) * 2 + [3, 25]):
         for bad in bad_keys(kind):
@@ -650,7 +725,7 @@ def assert_exactly_once(table, block, results):
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_four_threads_replay_the_same_block(kind, width, chunk, monkeypatch):
     if chunk is not None:
-        monkeypatch.setattr(words, "REPLAY_CHUNK", chunk)
+        set_chunk(monkeypatch, chunk)
     block = random_block(6_000, 2_000, 11)
     table = make_table(kind, width, len(set(block)))
     assert_exactly_once(table, block, replay_in_threads(table, block))
@@ -660,7 +735,7 @@ def test_four_threads_replay_the_same_block(kind, width, chunk, monkeypatch):
 def test_lockstep_and_per_key_workers_share_a_table(kind, width, monkeypatch):
     # two workers insert through the lockstep while two go key by key, so
     # chain steps and frame claims interleave with lockstep steps
-    monkeypatch.setattr(words, "REPLAY_CHUNK", 64)
+    set_chunk(monkeypatch, 64)
     block = random_block(6_000, 2_000, 12)
     table = make_table(kind, width, len(set(block)))
     lockstep = table._lockstep
@@ -697,7 +772,7 @@ class CheckedView:
 def test_bucket_lockstep_writes_show_readers_only_whole_frames(monkeypatch):
     # between any two writes of the lockstep each frame is empty, claimed,
     # or published with the interior words that replay stores
-    monkeypatch.setattr(words, "REPLAY_CHUNK", 64)
+    set_chunk(monkeypatch, 64)
     block = random_block(2_000, 2_000, 13)
     table = make_table("bucket", 3, len(set(block)))
     view = table._words.view
