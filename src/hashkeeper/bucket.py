@@ -203,7 +203,10 @@ class BucketTable:
         before its empty heads are used.  A key left after the last
         function makes the step decline with the table untouched.  Frames
         are then claimed, filled and published, one scatter each, so readers
-        only ever see empty, claimed or complete frames.
+        only ever see empty, claimed or complete frames.  The scatters run
+        without the interpreter lock, and a reader on another core sees them
+        in that order, each word whole, only because x86-64 keeps one core's
+        stores in order and stores aligned 32-bit words atomically.
 
         Claims need only be read in the buckets the walk reaches: a per-key
         writer claims a frame in a key's j-th bucket only after finding

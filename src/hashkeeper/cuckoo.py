@@ -211,6 +211,13 @@ class CuckooTable:
         word changed are published under one version bump and the count of
         inserted keys is returned.  Otherwise the table is left untouched:
         the stash is never written.
+
+        The publishing scatter runs without the interpreter lock, so a
+        lock-free reader on another core may read slots meanwhile.  That is
+        sound on x86-64, which keeps one core's stores in order and stores
+        an aligned 32-bit word atomically: the reader sees each slot old or
+        new, and one that saw a new slot also sees the odd version stored
+        before the scatter when it checks the version again.
         """
         keys = keys.view(np.uint64)
         if self._stash:

@@ -106,17 +106,36 @@ def sorted_distinct(words) -> np.ndarray:
 
 
 def first_positions(codes) -> np.ndarray:
-    """Ascending positions of the first occurrence of each value of ``codes``, all below 2**32."""
+    """Ascending positions of the first occurrence of each value of ``codes``, all below 2**32.
+
+    ``codes`` is an integer array of values in ``[0, 2**32)``.  A dense
+    block, whose largest code is below twice its length n, scatters each
+    position onto its code with ``np.minimum.at``: that array of
+    ``max + 1`` uint32 words is no bigger than the n uint64 words the
+    packed sort of any other block holds.  Either way only the distinct
+    first positions are sorted last.
+    """
+    n = len(codes)
+    if n < 2:
+        return np.arange(n, dtype=np.uint32)
+    top = int(codes.max())
+    if top < 2 * n:
+        # first[c] is the least position holding c, or n where c is absent
+        first = np.full(top + 1, n, dtype=np.uint32)
+        np.minimum.at(first, codes, np.arange(n, dtype=np.uint32))
+        positions = first[first < n]
+        positions.sort()
+        return positions
     # each code packed above its position, below 2**64: one sort in place
     # groups a code's occurrences, the first leading
-    bits = len(codes).bit_length()
+    bits = n.bit_length()
     packed = codes.astype(np.uint64)
     packed <<= bits
-    scratch = np.arange(len(codes), dtype=np.uint32)
+    scratch = np.arange(n, dtype=np.uint32)
     packed |= scratch
     packed.sort()
     np.right_shift(packed, bits, out=scratch, casting="unsafe")
-    first = np.ones(len(packed), dtype=bool)
+    first = np.ones(n, dtype=bool)
     np.not_equal(scratch[1:], scratch[:-1], out=first[1:])
     del scratch
     positions = packed[first]

@@ -1,11 +1,12 @@
 """Shared plumbing for tables built from arrays of 32-bit words.
 
 The word storage with its compare-exchange, and ``replay``, which both
-tables run: ``trace.first_positions``, the explorer's sort too, finds a
-block's distinct keys, a numpy pre-pass those stored, the lockstep step
-inserts the rest a chunk at a time, and the per-key protocol takes over
-only where it declines.  Each table kind sets its chunk, the distinct keys
-per pre-pass and step, as its ``REPLAY_CHUNK`` class attribute.
+tables run: ``trace.first_positions``, which also removes the duplicates
+of each explorer level, finds a block's distinct keys, a numpy pre-pass
+those stored, the lockstep step inserts the rest a chunk at a time, and the
+per-key protocol takes over only where it declines.  Each table kind sets
+its chunk, the distinct keys per pre-pass and step, as its
+``REPLAY_CHUNK`` class attribute.
 """
 
 import threading
@@ -44,6 +45,14 @@ class WordArray:
     under the interpreter lock, so readers may touch ``words`` directly.  The
     striped locks exist only to make each compare-exchange, a read-modify-write
     pair, a single atomic step with respect to the others.
+
+    A numpy scatter into ``view``, as both lockstep steps publish with, runs
+    without the interpreter lock, so a reader on another core may load words
+    while it runs.  That such a reader sees each word either old or new, and
+    one thread's stores in the order it made them, is assumed of the
+    platform, not given by the interpreter: x86-64 keeps one core's stores
+    in order, and its stores of aligned 32-bit words, as these are, are
+    atomic.
     """
 
     __slots__ = ("words", "view", "_locks")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,8 +329,12 @@ class TestFirstPositions:
     def test_lengths_around_powers_of_two(self, k):
         rng = np.random.default_rng(k)
         for length in (2**k - 1, 2**k, 2**k + 1):
-            for spread in (2, length, 2**32):
-                self.check(rng.integers(0, spread, length, dtype=np.int64).astype(np.uint32))
+            # a largest code of 2n - 2 or 2n - 1 takes the dense path, 2n the packed sort
+            for spread in (2, length, 2 * length - 1, 2 * length, 2 * length + 1, 2**32):
+                codes = rng.integers(0, spread, length, dtype=np.int64)
+                codes[rng.integers(length)] = spread - 1
+                for dtype in (np.uint32, np.int64):
+                    self.check(codes.astype(dtype))
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
     def test_extreme_codes(self, dtype):
@@ -337,6 +342,29 @@ class TestFirstPositions:
         codes = np.array([top, 0, 5, top, 0, 5, 1, top - 1, top], dtype=dtype)
         assert self.check(codes).tolist() == [0, 1, 2, 6, 7]
         self.check(np.resize(codes, 1025))
+
+    def test_peak_within_packed_sort(self):
+        # a block peaks no higher than the packed sort does on the same block
+        # shifted up, which has the same positions: a largest code of 2n - 1
+        # takes the dense path, 5n/2 is past the dense rule.  The blocks'
+        # keys are all distinct or one in eight distinct.  At this n numpy's
+        # fixed 8,192-element ufunc.at buffers are under a fifth of the margin.
+        n = 1 << 19
+        rng = np.random.default_rng(11)
+        for top in (2 * n - 1, 5 * n // 2):
+            values = np.append(rng.permutation(top)[: n - 1], top).astype(np.uint32)
+            for block in (rng.permutation(values), values[rng.integers(n - n // 8, n, n)]):
+                peaks, outputs = [], []
+                for codes in (block, block << 10):
+                    tracemalloc.start()
+                    try:
+                        outputs.append(first_positions(codes))
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                assert outputs[0].tolist() == self.oracle(block)
+                assert np.array_equal(outputs[0], outputs[1])
+                assert peaks[0] <= peaks[1]
 
     def test_explorer_codes(self):
         rng = np.random.default_rng(3)
