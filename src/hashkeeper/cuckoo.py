@@ -167,7 +167,8 @@ class CuckooTable:
                 self._acquire_write_lock()
             try:
                 if self._version != began:
-                    misses = misses[~self._stored(misses.view(np.uint64))]
+                    stored = self._stored(misses.view(np.uint64))
+                    misses = misses.take(np.flatnonzero(~stored))
                 return self._lockstep(misses)
             finally:
                 lock.release()
@@ -227,31 +228,41 @@ class CuckooTable:
         view = self._view
         work = view.copy()
         m = self.m
-        count = len(self._pairs)
-        a, b = np.array(self._pairs, dtype=np.uint64).T
+        pairs = self._pairs
+        a, b = np.array(pairs, dtype=np.uint64).T
+        # the function after each: a lookup wraps without a division
+        after = np.roll(np.arange(len(pairs)), -1)
         pending = keys
         step = np.zeros(len(keys), dtype=np.intp)
-        for _ in range(self.max_evictions):
+        for turn in range(self.max_evictions):
             if not len(pending):
                 break
-            slot = hash_array(pending, a[step], b[step], m)
-            resident = work[slot]
-            work[slot] = pending
-            won = work[slot] == pending
-            resident, slot = resident[won], slot[won]
-            displaced = resident != EMPTY_WORD
-            resident = resident[displaced].astype(np.uint64)
-            slot = slot[displaced]
-            first = np.zeros(len(resident), dtype=np.intp)
+            if turn:
+                slot = hash_array(pending, a.take(step), b.take(step), m)
+            else:  # every key is at function 0
+                slot = hash_array(pending, *pairs[0], m)
+            # take() of flatnonzero() copies a dense random mask's keys in a
+            # third of the mask's time, and take() gathers in half the time
+            # of indexing
+            resident = work.take(slot)
+            np.put(work, slot, pending)
+            won = work.take(slot) == pending
+            lost = np.flatnonzero(~won)
+            won = np.flatnonzero(won)
+            resident, slot = resident.take(won), slot.take(won)
+            displaced = np.flatnonzero(resident != EMPTY_WORD)
+            resident = resident.take(displaced).astype(np.uint64)
+            slot = slot.take(displaced)
+            nxt = np.ones(len(resident), dtype=np.intp)
             unmatched = np.arange(len(resident))
-            for j, (aj, bj) in enumerate(self._pairs):
-                hit = hash_array(resident[unmatched], aj, bj, m) == slot[unmatched]
-                first[unmatched[hit]] = j
-                unmatched = unmatched[~hit]
+            for j, (aj, bj) in enumerate(pairs):
+                hit = hash_array(resident.take(unmatched), aj, bj, m) == slot.take(unmatched)
+                nxt[unmatched.take(np.flatnonzero(hit))] = after[j]
+                unmatched = unmatched.take(np.flatnonzero(~hit))
                 if not len(unmatched):
                     break
-            pending = np.concatenate((pending[~won], resident))
-            step = np.concatenate((step[~won] + 1, first + 1)) % count
+            pending = np.concatenate((pending.take(lost), resident))
+            step = np.concatenate((after.take(step.take(lost)), nxt))
         if len(pending):
             return None
         changed = np.flatnonzero(work != view)

@@ -9,7 +9,7 @@ import pytest
 
 from hashkeeper.bucket import MAX_LEAD_WORD, BucketTable, fingerprint
 from hashkeeper.cuckoo import MAX_KEY, CuckooTable
-from hashkeeper.hashing import HashFamily
+from hashkeeper.hashing import HashFamily, hash_array
 from hashkeeper.trace import example_model, explore
 from hashkeeper.words import CLAIMED_WORD, EMPTY_WORD, FOUND, INSERTED
 from oracles import lockstep_frames
@@ -647,6 +647,13 @@ def test_bad_key_raises_value_error_before_any_insert(kind, width, monkeypatch):
                 table.replay(good + [bad, 30, 5, 31])
             # the block is checked whole: not even the keys before it went in
             assert table.stored_keys() == set()
+    # arrays too: a signed block is scanned for negative keys, an unsigned
+    # one, which holds none, only for keys above the range
+    for bad, dtype in ((-1, np.int64), (2**32, np.uint64), (top_key(kind) + 1, np.uint64)):
+        table = make_table(kind, width, 100)
+        with pytest.raises(ValueError):
+            table.replay(np.array([3, 4, 3, bad, 30, 5, 31], dtype=dtype))
+        assert table.stored_keys() == set()
 
 
 def test_cuckoo_empty_word_is_never_found():
@@ -761,6 +768,9 @@ class CheckedView:
     def __getattr__(self, name):
         return getattr(self.view, name)
 
+    def __array__(self, dtype=None, copy=None):
+        return self.view
+
     def __getitem__(self, index):
         return self.view[index]
 
@@ -789,3 +799,150 @@ def test_bucket_lockstep_writes_show_readers_only_whole_frames(monkeypatch):
     table._words.view = CheckedView(view, check)
     assert table.replay(block) == (len(set(block)), len(block) - len(set(block)), False)
     assert len(writes) >= 3
+
+
+def test_cuckoo_lockstep_writes_keep_every_stored_key_at_a_candidate_slot(monkeypatch):
+    # a step writes the slots with the version odd, and once its words are
+    # written every key stored before it is still at one of its candidate slots
+    set_chunk(monkeypatch, 64)
+    block = random_block(2_000, 2_000, 13)
+    table = make_table("cuckoo", 1, len(set(block)))
+    view, m = table._view, table.m
+    lockstep = table._lockstep
+    before = []
+    writes = []
+    moved = []
+
+    def step(keys):
+        slots = np.flatnonzero(view != EMPTY_WORD)
+        before.append(view[slots].astype(np.uint64))
+        placed = lockstep(keys)
+        assert not table._version & 1
+        moved.append((view[slots] != before[-1]).any())
+        return placed
+
+    def check():
+        assert table._version & 1
+        keys = before[-1]
+        at = [view[hash_array(keys, a, b, m)] == keys for a, b in table._pairs]
+        assert np.logical_or.reduce(at).all()
+        writes.append(len(before))
+
+    table._lockstep = step
+    table._view = CheckedView(view, check)
+    try:
+        assert table.replay(block) == (len(set(block)), len(block) - len(set(block)), False)
+    finally:
+        table._view = view
+    assert table.stored_keys() == set(block) and not table._stash
+    # each step wrote once, and some steps moved residents on
+    assert len(before) >= 10 and writes == list(range(1, len(before) + 1))
+    assert any(moved)
+
+
+@pytest.mark.parametrize("kind,width", TABLES)
+def test_readers_never_lose_a_key_to_a_concurrent_lockstep(kind, width, monkeypatch):
+    # Reader threads look up stored keys, per key and through the numpy
+    # pre-pass, while another thread replays a fresh block through the
+    # lockstep steps, whose scatters run without the interpreter lock.  A
+    # stored key is always seen, and a fresh key once seen stays seen.  A
+    # cuckoo pre-pass is trusted only when the version it read was even and
+    # unchanged, as the step trusts it; a bucket frame never moves.  Every
+    # bucket frame with a published head holds the interior words replay
+    # stores.
+    set_chunk(monkeypatch, 512)
+    keys = np.random.default_rng(14).permutation(1 << 17)[:80_000]
+    old, fresh = keys[:10_000], keys[10_000:]
+    table = make_table(kind, width, 2 * len(keys))
+    assert table.replay(old) == (len(old), 0, False)
+    pad = (0,) * (width - 1)
+    lookup = table.contains if kind == "cuckoo" else lambda k: table.contains((k,) + pad)
+    old_sample, fresh_sample = old[::25].tolist(), fresh[::50].tolist()
+    old64, fresh64 = old.astype(np.uint64), fresh[::10].astype(np.uint64)
+    lockstep = table._lockstep
+    steps = []
+
+    def counted(misses):
+        placed = lockstep(misses)
+        steps.append(placed)
+        return placed
+
+    table._lockstep = counted
+    ready = threading.Barrier(3)
+    done = threading.Event()
+    errors = []
+    loops = []
+
+    def validated(probe):
+        # the probe's mask, or None when a cuckoo write overlapped it
+        if kind == "bucket":
+            return probe()
+        version = table._version
+        mask = probe()
+        return None if version & 1 or table._version != version else mask
+
+    if width > 1:
+        span = table.frames_per_bucket * width
+        frame_words = (np.arange(table.buckets)[:, None] * 32 + np.arange(span)).ravel()
+
+    def frames_torn():
+        # take() loads the words one at a time in index order, so each
+        # frame's head is read before its interior words
+        frames = table._words.view.take(frame_words).reshape(-1, width)
+        return ((frames[:, 0] < CLAIMED_WORD) & (frames[:, 1:] != 0).any(axis=1)).any()
+
+    def per_key():
+        seen = np.zeros(len(fresh_sample), dtype=bool)
+        while True:
+            if not all(map(lookup, old_sample)):
+                errors.append("a stored key missed by contains")
+            now = np.array(list(map(lookup, fresh_sample)))
+            if (seen & ~now).any():
+                errors.append("a fresh key seen by contains went missing")
+            seen |= now
+            loops.append("per-key")
+            if done.is_set():
+                break
+
+    def pre_pass():
+        seen = np.zeros(len(fresh64), dtype=bool)
+        while True:
+            mask = validated(lambda: table._stored(old64))
+            if mask is not None and not mask.all():
+                errors.append("a stored key missed by the pre-pass")
+            mask = validated(lambda: table._stored(fresh64))
+            if mask is not None:
+                if (seen & ~mask).any():
+                    errors.append("a fresh key seen by the pre-pass went missing")
+                seen |= mask
+            if width > 1 and frames_torn():
+                errors.append("a published head over unwritten interior words")
+            loops.append("pre-pass")
+            if done.is_set():
+                break
+
+    def guarded(loop):
+        try:
+            ready.wait(timeout=30)
+            loop()
+        except BaseException as exc:  # surfaced after the join
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-6)
+    readers = [threading.Thread(target=guarded, args=(f,)) for f in (per_key, pre_pass)]
+    try:
+        for t in readers:
+            t.start()
+        ready.wait(timeout=30)
+        result = table.replay(fresh)
+    finally:
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in readers)
+    assert not errors, errors[:3]
+    assert result == (len(fresh), 0, False)
+    assert len(steps) >= 20 and None not in steps
+    assert set(loops) == {"per-key", "pre-pass"}
