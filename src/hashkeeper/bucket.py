@@ -172,19 +172,46 @@ class BucketTable:
         by one.  ``keys`` is a list or an integer array; a key that is no
         int or outside ``[0, MAX_LEAD_WORD]`` raises ``ValueError`` before
         any insert.
+
+        While the replay is the table's sole writer, a chunk skips the
+        pre-pass and its step skips the re-checks, since no key of the
+        chunk can be stored, or claimed and not yet published.  It is the
+        sole writer while the table's ``writes`` equals ``own``, the count
+        of this call's steps that placed a key: the table was fresh when
+        the call began, and every write since was one of those steps.
+        Every writer moves the count, a per-key writer when it claims a
+        frame, before it publishes it.  A count merely unchanged since the
+        call's own last step would not do: another writer may have stored
+        a key of a later chunk before that step, and the skipped checks
+        would never see it.
         """
         pad = (0,) * (self.width - 1)
         find_or_insert = self.find_or_insert
+        table = self._words
+        own = 0
+
+        def stored(chunk):
+            if table.writes == own:
+                return np.zeros(len(chunk), dtype=bool)
+            return self._stored(chunk)
+
+        def lockstep(misses):
+            nonlocal own
+            placed = self._lockstep(misses, own)
+            if placed:
+                own += 1
+            return placed
+
         return replay(
             keys,
             MAX_LEAD_WORD,
             self.REPLAY_CHUNK,
-            self._stored,
+            stored,
             lambda key: find_or_insert((key,) + pad),
-            self._lockstep,
+            lockstep,
         )
 
-    def _lockstep(self, keys):
+    def _lockstep(self, keys, own=None):
         """Insert ``(k, 0, ..., 0)`` for the distinct int64 ``keys``; None declines.
 
         Holds every stripe lock, so no frame can be claimed meanwhile, and
@@ -192,7 +219,10 @@ class BucketTable:
         only the keys still pending.  A frame already claimed in a bucket
         one of them reaches may be publishing one of the keys, so the step
         declines rather than wait for it.  Keys published there since the
-        pre-pass are dropped.  The rest are placed as GPUexplore places a
+        pre-pass are dropped.  Both checks are skipped when the table's
+        ``writes`` equals ``own``, read under the locks: then the calling
+        replay is the sole writer (see :meth:`replay`), and no other claim
+        or key of the chunk exists.  The rest are placed as GPUexplore places a
         warp's vectors in a bucket (Wijs and Bosnacki, 2014): grouped by
         bucket in emission order, the first ``free`` keys of a group take
         the bucket's next empty frames, and the rest move on to the next
@@ -218,6 +248,7 @@ class BucketTable:
         for lock in table._locks:
             lock.acquire()
         try:
+            sole = table.writes == own
             keys = keys.view(np.uint64)
             fps = keys * self._pad_mult & 0xFFFFFFFF
             keys = keys.astype(np.uint32)
@@ -229,13 +260,14 @@ class BucketTable:
             for a, b in self._pairs:
                 bucket = hash_array(fps[pending], a, b, self.buckets)
                 lead = heads.take(bucket, axis=0)
-                if (lead == CLAIMED_WORD).any():
+                if not sole and (lead == CLAIMED_WORD).any():
                     return None
                 # uint8 row sums in place: count_nonzero or argmax along
                 # the rows takes 2.5-3x as long
                 used = per - np.einsum("ij->i", (lead == EMPTY_WORD).view(np.uint8))
                 rest = np.ones(len(pending), dtype=bool)
-                rest[self._published_in(lead, bucket, keys[pending])] = False
+                if not sole:
+                    rest[self._published_in(lead, bucket, keys[pending])] = False
                 rest = np.flatnonzero(rest)
                 bits = len(pending).bit_length()
                 packed = bucket[rest] << bits | rest
@@ -262,6 +294,8 @@ class BucketTable:
                 view[first] = CLAIMED_WORD
                 view[(first[:, None] + np.arange(1, self.width)).ravel()] = 0
             view[first] = keys
+            if len(keys):
+                table.writes += 1
             return len(keys)
         finally:
             for lock in table._locks:

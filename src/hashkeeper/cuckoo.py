@@ -413,7 +413,7 @@ class CuckooTable:
         the table once plain rehashing stops helping; raises
         :class:`RebuildError` when every attempt fails.
         """
-        keys = list(self.stored_keys())
+        keys = self.stored_key_array()
         expected = max(self._expected, len(keys), 1)
         bound = self.max_evictions if self._explicit_bound else None
         for attempt in range(_REBUILD_ATTEMPTS):

@@ -6,7 +6,10 @@ of each explorer level, finds a block's distinct keys, a numpy pre-pass
 those stored, the lockstep step inserts the rest a chunk at a time, and the
 per-key protocol takes over only where it declines.  Each table kind sets
 its chunk, the distinct keys per pre-pass and step, as its
-``REPLAY_CHUNK`` class attribute.
+``REPLAY_CHUNK`` class attribute.  The word storage counts the writes made
+to it, so a bucket replay can tell when it is the table's sole writer: its
+chunks then skip the pre-pass and its steps the re-checks, as no key of a
+chunk can be stored yet.
 """
 
 import threading
@@ -53,22 +56,39 @@ class WordArray:
     platform, not given by the interpreter: x86-64 keeps one core's stores
     in order, and its stores of aligned 32-bit words, as these are, are
     atomic.
+
+    ``writes`` counts writes: each successful compare-exchange adds 1 under
+    its stripe lock, and a bucket lockstep step that places a key adds 1
+    under every stripe lock.  Compare-exchanges on different stripes may
+    overwrite one another's increments, but each stores one more than a
+    count it read, and none races a step's, which holds every stripe lock.
+    So once another writer has written, the count stays above the number
+    of steps a replay has made since the table was fresh, and a replay that
+    has made ``own`` writing steps on a table whose count is still ``own``
+    is its only writer.
     """
 
-    __slots__ = ("words", "view", "_locks")
+    __slots__ = ("words", "view", "writes", "_locks")
 
     def __init__(self, size: int):
         self.words, self.view = word_array(size)
+        self.writes = 0
         self._locks = [threading.Lock() for _ in range(min(_STRIPES, max(1, size)))]
 
     def compare_exchange(self, index: int, expected: int, value: int) -> bool:
-        """Store ``value`` at ``index`` only if the word equals ``expected``."""
+        """Store ``value`` at ``index`` only if the word equals ``expected``.
+
+        A success counts in ``writes`` before the lock is released: a
+        bucket writer claims its frame this way before it publishes word 0,
+        so no frame is claimed or published behind an unchanged count.
+        """
         lock = self._locks[index % len(self._locks)]
         with lock:
             words = self.words
             if words[index] != expected:
                 return False
             words[index] = value
+            self.writes += 1
             return True
 
 

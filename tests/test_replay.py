@@ -148,8 +148,8 @@ def test_a_table_filling_after_lockstep_chunks_stores_every_earlier_key(
     lockstep = table._lockstep
     steps = []
 
-    def watched(chunk):
-        steps.append(lockstep(chunk))
+    def watched(chunk, *rest):
+        steps.append(lockstep(chunk, *rest))
         return steps[-1]
 
     table._lockstep = watched
@@ -171,12 +171,12 @@ def test_a_table_filling_after_lockstep_chunks_stores_every_earlier_key(
 
 
 def spy(table, name, calls):
-    """Record each argument of ``table.<name>`` in ``calls``, then call it."""
+    """Record the first argument of each ``table.<name>`` call in ``calls``."""
     method = getattr(table, name)
 
-    def counted(arg):
+    def counted(arg, *rest):
         calls.append(arg)
-        return method(arg)
+        return method(arg, *rest)
 
     setattr(table, name, counted)
 
@@ -193,6 +193,23 @@ def test_each_missed_key_reaches_the_lockstep_once_per_chunk(kind, width):
     assert [c.tolist() for c in calls] == [[11]]
 
 
+FOREIGN_KEY = 10**6  # in no test block
+
+
+def table_written_by(kind, width, expected, written):
+    """A fresh table, holding ``FOREIGN_KEY`` when ``written``.
+
+    The key stands for another writer's: a bucket replay skips its
+    pre-passes and re-checks only on a table it alone wrote.
+    """
+    table = make_table(kind, width, expected)
+    if written:
+        pad = (0,) * (width - 1)
+        outcome = table.find_or_insert(FOREIGN_KEY if kind == "cuckoo" else (FOREIGN_KEY,) + pad)
+        assert outcome.tag is INSERTED
+    return table
+
+
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_the_pre_pass_sees_each_distinct_key_of_a_block_once(kind, width, monkeypatch):
     chunk = 256
@@ -201,33 +218,37 @@ def test_the_pre_pass_sees_each_distinct_key_of_a_block_once(kind, width, monkey
     # repeats cross the seams of block chunks and of distinct-key chunks
     block = BLOCKS["random-d10"](top_key(kind)) + list(range(1_000, 1_300)) * 2
     distinct = list(dict.fromkeys(block))
+    chunks = [distinct[i : i + chunk] for i in range(0, len(distinct), chunk)]
     # room to spare: a full table would end the replay early
     expected = 2 * len(distinct)
-    table = make_table(kind, width, expected)
-    stored, lockstep = table._stored, table._lockstep
-    looked_up = []  # the keys of each pre-pass, not of a lockstep's re-check
-    stepping = []
+    for written in (False, True):
+        table = table_written_by(kind, width, expected, written)
+        stored, lockstep = table._stored, table._lockstep
+        looked_up = []  # the keys of each pre-pass, not of a lockstep's re-check
+        stepping = []
 
-    def watched_stored(keys):
-        if not stepping:
-            looked_up.append(keys.tolist())
-        return stored(keys)
+        def watched_stored(keys):
+            if not stepping:
+                looked_up.append(keys.tolist())
+            return stored(keys)
 
-    def watched_lockstep(keys):
-        stepping.append(True)
-        try:
-            return lockstep(keys)
-        finally:
-            stepping.pop()
+        def watched_lockstep(keys, *rest):
+            stepping.append(True)
+            try:
+                return lockstep(keys, *rest)
+            finally:
+                stepping.pop()
 
-    table._stored, table._lockstep = watched_stored, watched_lockstep
-    reference = per_key(make_table(kind, width, expected), block)
-    assert not reference[2]
-    assert table.replay(block) == reference
-    # every distinct key once, in first-occurrence order, a chunk at a time
-    assert sorted(k for keys in looked_up for k in keys) == sorted(distinct)
-    chunks = [distinct[i : i + chunk] for i in range(0, len(distinct), chunk)]
-    assert looked_up == chunks
+        table._stored, table._lockstep = watched_stored, watched_lockstep
+        reference = per_key(table_written_by(kind, width, expected, written), block)
+        assert not reference[2]
+        assert table.replay(block) == reference
+        if kind == "bucket" and not written:
+            # the table's only writer looks nothing up
+            assert looked_up == []
+        else:
+            # every distinct key once, in first-occurrence order, a chunk at a time
+            assert looked_up == chunks
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
@@ -236,14 +257,21 @@ def test_one_worker_looks_each_distinct_key_up_once(kind, width, monkeypatch):
     set_chunk(monkeypatch, chunk)
     block = random_block(6_000, 2_000, 14)
     distinct = len(set(block))
-    table = make_table(kind, width, distinct)
-    calls = []
-    spy(table, "_stored", calls)
-    assert table.replay(block) == (distinct, len(block) - distinct, False)
-    # the pre-pass of each chunk and nothing more: no other worker wrote
-    # between a pre-pass and its step, so no step looked its misses up again
-    assert len(calls) == -(-distinct // chunk)
-    assert sum(len(keys) for keys in calls) == distinct
+    for written in (False, True):
+        table = table_written_by(kind, width, distinct + 1, written)
+        calls, rechecks = [], []
+        spy(table, "_stored", calls)
+        if kind == "bucket":
+            spy(table, "_published_in", rechecks)
+        assert table.replay(block) == (distinct, len(block) - distinct, False)
+        if kind == "bucket" and not written:
+            # the table's only writer: no pre-pass, and no step looked again
+            assert calls == [] and rechecks == []
+            continue
+        # the pre-pass of each chunk and nothing more: no other worker wrote
+        # between a pre-pass and its step, so no step looked its misses up again
+        assert len(calls) == -(-distinct // chunk)
+        assert sum(len(keys) for keys in calls) == distinct
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
@@ -253,47 +281,150 @@ def test_a_default_replay_steps_once_per_table_chunk(kind, width):
     block = random_block(60_000, 50_000, 17)
     distinct = len(set(block))
     assert distinct > BucketTable.REPLAY_CHUNK
-    table = make_table(kind, width, 2 * distinct)
-    looked_up, stepped = [], []
-    spy(table, "_stored", looked_up)
-    spy(table, "_lockstep", stepped)
-    assert table.replay(block) == (distinct, len(block) - distinct, False)
     steps = 1 if kind == "cuckoo" else -(-distinct // BucketTable.REPLAY_CHUNK)
-    assert len(looked_up) == len(stepped) == steps
+    for written in (False, True):
+        table = table_written_by(kind, width, 2 * distinct, written)
+        looked_up, stepped = [], []
+        spy(table, "_stored", looked_up)
+        spy(table, "_lockstep", stepped)
+        assert table.replay(block) == (distinct, len(block) - distinct, False)
+        assert len(stepped) == steps
+        # the bucket table's only writer skips every pre-pass
+        assert len(looked_up) == (0 if kind == "bucket" and not written else steps)
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_a_write_after_the_pre_pass_makes_the_step_look_again(kind, width, monkeypatch):
     set_chunk(monkeypatch, 8)
-    table = make_table(kind, width, 100)
     pad = (0,) * (width - 1)
-    stored = table._stored
-    raced = []
+    for written in (False, True):
+        table = table_written_by(kind, width, 100, written)
+        raced = []
 
-    def racing(chunk):
-        mask = stored(chunk)
-        if not raced:
-            # another worker inserts one of the chunk's misses meanwhile
-            raced.append(int(chunk[3]))
-            key = raced[0]
-            outcome = table.find_or_insert(key if kind == "cuckoo" else (key,) + pad)
-            assert outcome.tag is INSERTED
-        return mask
+        def race(chunk):
+            if not raced:
+                # another worker inserts one of the chunk's misses meanwhile
+                raced.append(int(chunk[3]))
+                key = raced[0]
+                outcome = table.find_or_insert(key if kind == "cuckoo" else (key,) + pad)
+                assert outcome.tag is INSERTED
 
-    table._stored = racing
-    block = list(range(20)) * 2
-    # the raced key counts as found, not inserted
-    assert table.replay(block) == (19, 21, False)
-    assert raced == [3]
-    assert table.stored_keys() == set(range(20))
-    assert table.stored_count() == 20
+        if kind == "bucket" and not written:
+            # no pre-pass runs: the write lands just before the first step
+            lockstep = table._lockstep
+
+            def racing(keys, *rest):
+                race(keys)
+                return lockstep(keys, *rest)
+
+            table._lockstep = racing
+        else:
+            stored = table._stored
+
+            def racing(chunk):
+                mask = stored(chunk)
+                race(chunk)
+                return mask
+
+            table._stored = racing
+        block = list(range(20)) * 2
+        # the raced key counts as found, not inserted
+        assert table.replay(block) == (19, 21, False)
+        assert raced == [3]
+        assert table.stored_keys() - {FOREIGN_KEY} == set(range(20))
+        assert table.stored_count() == 20 + written
+
+
+@pytest.mark.parametrize("writer", ["find_or_insert", "replay"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_a_key_stored_ahead_of_a_replay_is_inserted_once(width, writer, monkeypatch):
+    # Between replay A's first and second steps another writer stores a key
+    # of A's third chunk; A's later steps then run alone.  The write count
+    # after A's second step equals the value A's own step set, so a rule
+    # that skipped the checks on an unchanged count would insert it twice.
+    set_chunk(monkeypatch, 8)
+    pad = (0,) * (width - 1)
+    block = list(range(40)) * 2
+    raced = 20  # first in A's third chunk
+    table = make_table("bucket", width, 100)
+    lockstep = table._lockstep
+    steps = []
+
+    def racing(keys, *rest):
+        placed = lockstep(keys, *rest)
+        steps.append(placed)
+        if len(steps) == 1:
+            if writer == "replay":
+                # replay B's own step goes through here too, as the second
+                assert table.replay([raced]) == (1, 0, False)
+            else:
+                assert table.find_or_insert((raced,) + pad).tag is INSERTED
+        return placed
+
+    table._lockstep = racing
+    # the per-key loop with the same write at the same place
+    expected = make_table("bucket", width, 100)
+    head = per_key(expected, block[:8])
+    assert expected.find_or_insert((raced,) + pad).tag is INSERTED
+    tail = per_key(expected, block[8:])
+    reference = (head[0] + tail[0], head[1] + tail[1], False)
+    assert reference == (39, 41, False)
+    assert table.replay(block) == reference
+    # the third chunk placed the seven keys left to it
+    assert steps == ([8, 1, 8, 7, 8, 8] if writer == "replay" else [8, 8, 7, 8, 8])
+    assert table.stored_count() == 40
+    assert contents(table) == contents(expected)
+
+
+@pytest.mark.parametrize("when", ["before", "between"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_bucket_a_foreign_write_makes_every_later_chunk_look_up(width, when, monkeypatch):
+    # "before": a second replay on a table that already holds keys never
+    # skips; "between": a per-key insert from another thread after the
+    # second chunk makes every later chunk run the pre-pass and its step
+    # look again
+    set_chunk(monkeypatch, 8)
+    pad = (0,) * (width - 1)
+    table = make_table("bucket", width, 200)
+    if when == "before":
+        assert table.replay(list(range(20))) == (20, 0, False)
+    looked_up, rechecks = [], []
+    spy(table, "_stored", looked_up)
+    spy(table, "_published_in", rechecks)
+    lockstep = table._lockstep
+    steps = []  # per step: the pre-passes run so far, its own re-checks
+
+    def watched(keys, *rest):
+        before = len(rechecks)
+        placed = lockstep(keys, *rest)
+        steps.append((len(looked_up), len(rechecks) - before))
+        if when == "between" and len(steps) == 2:
+            writer = threading.Thread(target=table.find_or_insert, args=((FOREIGN_KEY,) + pad,))
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        return placed
+
+    table._lockstep = watched
+    block = list(range(15, 55))
+    chunks = [block[i : i + 8] for i in range(0, 40, 8)]
+    new = 40 if when == "between" else 35
+    assert table.replay(block) == (new, len(block) - new, False)
+    assert len(steps) == 5
+    alone = 2 if when == "between" else 0
+    # the first chunks ran alone: no pre-pass and no re-check
+    assert steps[:alone] == [(0, 0)] * alone
+    # every later chunk was looked up, and its step looked again
+    assert [keys.tolist() for keys in looked_up] == chunks[alone:]
+    assert [done for done, _ in steps[alone:]] == list(range(1, 6 - alone))
+    assert all(again for _, again in steps[alone:])
 
 
 @pytest.mark.parametrize("kind,width", TABLES)
 def test_each_missed_key_reaches_find_or_insert_once_per_chunk(kind, width):
     # with a lockstep step that always declines
     table = make_table(kind, width, 100)
-    table._lockstep = lambda keys: None
+    table._lockstep = lambda keys, *rest: None
     calls = []
     spy(table, "find_or_insert", calls)
     assert table.replay([5, 9, 5, 5, 9, 7]) == (3, 3, False)
@@ -314,9 +445,9 @@ def test_a_declined_lockstep_leaves_the_table_untouched(kind, width):
     lockstep = table._lockstep
     untouched = []
 
-    def checked(chunk):
+    def checked(chunk, *rest):
         before = view.tobytes()
-        placed = lockstep(chunk)
+        placed = lockstep(chunk, *rest)
         if placed is None:
             untouched.append(view.tobytes() == before)
         return placed
@@ -398,22 +529,33 @@ def candidate_buckets(table, key):
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_bucket_claimed_frame_makes_the_lockstep_decline(width):
-    table = make_table("bucket", width, 100)
     key = 123
     vector = (key,) + (0,) * (width - 1)
-    # the next frame of the key's first bucket, claimed by a writer that has
+
+    def next_frame(table):
+        # the next frame of the key's first bucket
+        bucket = table.family.hash(0, fingerprint(vector), table.buckets)
+        heads = table._heads()
+        return bucket * 32 + int(np.flatnonzero(heads[bucket] == EMPTY_WORD)[0]) * width
+
+    # a step called without a replay's write count always reads claims, even
+    # one stored without counting it
+    table = make_table("bucket", width, 100)
+    table._words.words[next_frame(table)] = CLAIMED_WORD
+    before = table._words.view.tobytes()
+    assert table._lockstep(np.array([key], dtype=np.int64)) is None
+    assert table._words.view.tobytes() == before
+    # claimed through the protocol's compare-exchange by a writer that has
     # not published yet
-    bucket = table.family.hash(0, fingerprint(vector), table.buckets)
-    heads = table._heads()
-    frame = int(np.flatnonzero(heads[bucket] == EMPTY_WORD)[0])
-    first = bucket * 32 + frame * width
+    table = make_table("bucket", width, 100)
+    first = next_frame(table)
+    assert table._words.compare_exchange(first, EMPTY_WORD, CLAIMED_WORD)
     words_ = table._words.words
-    words_[first] = CLAIMED_WORD
     declined = []
     lockstep = table._lockstep
 
-    def watched(keys):
-        result = lockstep(keys)
+    def watched(keys, *rest):
+        result = lockstep(keys, *rest)
         declined.append(result is None)
         return result
 
@@ -556,8 +698,8 @@ def fill_until_spill(table, fill, keys):
     pad = (0,) * (table.width - 1)
     lockstep = table._lockstep
 
-    def placed_whole(chunk):
-        placed = lockstep(chunk)
+    def placed_whole(chunk, *rest):
+        placed = lockstep(chunk, *rest)
         if placed is None:
             raise Declined
         return placed
@@ -748,11 +890,11 @@ def test_lockstep_and_per_key_workers_share_a_table(kind, width, monkeypatch):
     lockstep = table._lockstep
     steps = []
 
-    def every_other_thread(keys):
+    def every_other_thread(keys, *rest):
         if threading.current_thread().name.endswith(("-1", "-3")):
             return None
         steps.append(len(keys))
-        return lockstep(keys)
+        return lockstep(keys, *rest)
 
     table._lockstep = every_other_thread
     assert_exactly_once(table, block, replay_in_threads(table, block))
@@ -862,8 +1004,8 @@ def test_readers_never_lose_a_key_to_a_concurrent_lockstep(kind, width, monkeypa
     lockstep = table._lockstep
     steps = []
 
-    def counted(misses):
-        placed = lockstep(misses)
+    def counted(misses, *rest):
+        placed = lockstep(misses, *rest)
         steps.append(placed)
         return placed
 

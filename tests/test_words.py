@@ -34,3 +34,13 @@ def test_concurrent_cas_claims_each_slot_once():
         t.join()
     assert sum(wins) == 64
     assert all(w != EMPTY_WORD for w in arr.words)
+
+
+def test_writes_counts_each_successful_compare_exchange():
+    arr = WordArray(4)
+    assert arr.writes == 0
+    assert arr.compare_exchange(1, EMPTY_WORD, CLAIMED_WORD)
+    assert not arr.compare_exchange(1, EMPTY_WORD, 6)
+    assert arr.writes == 1
+    assert arr.compare_exchange(1, CLAIMED_WORD, 5)
+    assert arr.writes == 2
